@@ -3,7 +3,7 @@ statistics.
 
 G_A has an edge (v1, v2) whenever v2 - v1 lies in A, making it |A|-regular.
 Edge counts come either from a direct pair scan or from the spectral identity
-e(X, Y) = N^2 sum_xi Ahat(xi) Xhat(xi) Yhat(-xi); certificates bound the
+e(X, Y) = N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); certificates bound the
 worst-case edge discrepancy through sup |Ahat| over nontrivial frequencies.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fourier import full_spectrum
+from .fourier import full_spectrum, rounded_count
 from .rng import substream, sample_without_replacement
 from .vectorspace import (
     DenseSubset,
@@ -96,25 +96,28 @@ def edge_count_direct(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> int:
 
 
 def edge_count_fourier(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> float:
-    """Spectral edge count N^2 sum_xi Ahat(xi) Xhat(xi) Yhat(-xi); equals the
-    direct count up to round-off."""
+    """Spectral edge count N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); equals
+    the direct count up to round-off (Y is real, so Yhat(-xi) = conj(Yhat(xi)))."""
     space = same_space(A, X, Y)
     ahat = full_spectrum(space, A.mask)
     xhat = full_spectrum(space, X.mask)
     yhat = full_spectrum(space, Y.mask)
-    neg = space.neg(np.arange(space.N, dtype=np.int64))
-    total = (ahat * xhat * yhat[neg]).sum() * space.N**2
+    total = (ahat * xhat * yhat.conj()).sum() * space.N**2
     return float(total.real)
 
 
 def edge_count(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> int:
-    """Exact count, auto-selecting pair scan vs rounded spectral evaluation."""
+    """Exact count, auto-selecting pair scan vs rounded spectral evaluation.
+
+    The spectral branch raises ContractError when its total is not within
+    ROUNDING_MARGIN of an integer.
+    """
     space = same_space(A, X, Y)
     direct_cost = min(X.card * Y.card, A.card * X.card, A.card * Y.card)
     spectral_cost = 4 * space.N * space.n
     if direct_cost <= spectral_cost:
         return edge_count_direct(A, X, Y)
-    return int(round(edge_count_fourier(A, X, Y)))
+    return rounded_count(edge_count_fourier(A, X, Y), "edge count")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
@@ -25,6 +25,9 @@ from .vectorspace import (
     _weights,
     same_space,
 )
+
+# Largest distance from the nearest integer a rounded spectral count may have.
+ROUNDING_MARGIN = 0.25
 
 
 @lru_cache(maxsize=None)
@@ -37,14 +40,20 @@ def _root_matrix(p: int) -> np.ndarray:
 
 
 def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.ndarray:
-    """Length-p DFT along every axis of the (p,)*dim coefficient tensor."""
-    t = np.asarray(vec, dtype=complex).reshape((p,) * dim)
+    """Length-p DFT along every axis of the (p,)*dim coefficient tensor.
+
+    The last axis of vec holds the p**dim coefficients; leading axes are a
+    batch (one row per coset in the regularity scan) and pass through.
+    """
+    vec = np.asarray(vec, dtype=complex)
+    lead = vec.shape[:-1]
+    t = vec.reshape(lead + (p,) * dim)
     w = _root_matrix(p)
     if inverse:
         w = w.conj()
-    for ax in range(dim):
+    for ax in range(len(lead), len(lead) + dim):
         t = np.moveaxis(np.tensordot(w, t, axes=(1, ax)), 0, ax)
-    return t.reshape(-1)
+    return t.reshape(lead + (-1,))
 
 
 def _dual_data(H: SubspaceBasis):
@@ -256,20 +265,8 @@ def identity_suite(f: DenseFunction, g: DenseFunction, H: SubspaceBasis) -> Iden
 
 
 # ---------------------------------------------------------------------------
-# Fast localized-indicator helpers (hot path for the regularity iteration)
+# Helpers for the regularity scan and the full-group counts
 # ---------------------------------------------------------------------------
-
-
-def localized_coeff_vector(A: DenseSubset, H: SubspaceBasis, v: int) -> np.ndarray:
-    """Indicator of A_H^v = (A+v) ^ H over H's elements in coefficient order."""
-    space = same_space(A, H)
-    digs = (H.element_digits() - space.digits(int(v))) % space.p
-    return A.mask[space.index(digs)].astype(np.float64)
-
-
-def coeff_spectrum(vec: np.ndarray, H: SubspaceBasis) -> np.ndarray:
-    """Flat spectrum tensor (indexed by eta) of a coefficient-order vector."""
-    return _multi_dft(vec, H.space.p, H.dim) / H.size
 
 
 def rep_for_eta(H: SubspaceBasis) -> np.ndarray:
@@ -282,6 +279,18 @@ def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
     out[xi] = (1/N) sum_x values[x] e(-<x,xi>/p).  The flat ordering of the
     coefficient tensor pairs point digits with frequency digits directly."""
     return _multi_dft(np.asarray(values, dtype=np.float64), space.p, space.n) / space.N
+
+
+def rounded_count(total: float, what: str) -> int:
+    """Nearest integer to a spectrally evaluated count.
+
+    The exact count is an integer, so a total further than ROUNDING_MARGIN
+    from every integer means the float evaluation cannot be trusted.
+    """
+    count = round(total)
+    if abs(total - count) > ROUNDING_MARGIN:
+        raise ContractError(f"{what}: spectral total {total!r} is not within {ROUNDING_MARGIN} of an integer")
+    return int(count)
 
 
 # ---------------------------------------------------------------------------

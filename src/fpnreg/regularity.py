@@ -60,16 +60,6 @@ class VectorClassification:
         return self.reps[~self.regular]
 
 
-def _batched_spectra(vecs: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Row-wise flat spectra of coefficient-order vectors (rows = cosets)."""
-    b = vecs.shape[0]
-    t = np.asarray(vecs, dtype=complex).reshape((b,) + (p,) * dim)
-    w = np.exp(-2j * np.pi * (np.outer(np.arange(p), np.arange(p)) % p) / p)
-    for ax in range(1, dim + 1):
-        t = np.moveaxis(np.tensordot(w, t, axes=(1, ax)), 0, ax)
-    return t.reshape(b, -1) / p**dim
-
-
 def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
     """sup over xi outside H^perp of |fhat(xi)| for the localization A_H^v."""
     space = same_space(A, H)
@@ -110,7 +100,7 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
         vecs = A.mask[idx].astype(np.float64)
         counts[lo:hi] = vecs.sum(axis=1).astype(np.int64)
         if H.size > 1:
-            spec = np.abs(_batched_spectra(vecs, space.p, H.dim))
+            spec = np.abs(_multi_dft(vecs, space.p, H.dim) / H.size)
             sups[lo:hi] = spec[:, 1:].max(axis=1)
             for j in range(lo, hi):
                 if sups[j] > threshold:

@@ -2,7 +2,7 @@
 
 Counting follows the ordered-(a, d) convention: the pair (a, d) contributes
 when a, a+d, a+2d all lie in the set, and d = 0 gives the |A| trivial pairs.
-The spectral count N^2 sum_xi Ahat(-xi)^2 Ahat(2xi) reproduces the naive
+The spectral count N^2 sum_xi conj(Ahat(xi))^2 Ahat(2xi) reproduces the naive
 count exactly after rounding.  The flower search splits A into parts,
 regularizes them jointly, collects dense regular coset representatives per
 part, and extracts the midpoint-centered progression family the quotient
@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .fourier import full_spectrum
+from .fourier import full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
 from .rng import sample_without_replacement, substream
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
+    dilate,
     same_space,
 )
 
@@ -66,14 +67,16 @@ def count_3aps_naive(A: DenseSubset, include_trivial: bool = True) -> int:
 
 
 def count_3aps_fourier(A: DenseSubset) -> int:
-    """Spectral count (trivial pairs included), rounded to the nearest integer."""
+    """Spectral count N^2 sum_xi conj(Ahat(xi))^2 Ahat(2xi) (trivial pairs
+    included), rounded to the nearest integer.
+
+    A is real, so Ahat(-xi) = conj(Ahat(xi)); raises ContractError when the
+    total is not within ROUNDING_MARGIN of an integer.
+    """
     space = A.space
     ahat = full_spectrum(space, A.mask)
-    idx = np.arange(space.N, dtype=np.int64)
-    neg = space.neg(idx)
-    dbl = space.smul(2, idx)
-    total = (ahat[neg] ** 2 * ahat[dbl]).sum() * float(space.N) ** 2
-    return int(round(total.real))
+    total = (ahat.conj() ** 2 * dilate(space, ahat, 2)).sum() * float(space.N) ** 2
+    return rounded_count(float(total.real), "3AP count")
 
 
 def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:

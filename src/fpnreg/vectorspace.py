@@ -139,6 +139,21 @@ def pairing(space: SpaceDescriptor, a, b):
     return space.pair(_check_index(space, a), _check_index(space, b))
 
 
+def dilate(space: SpaceDescriptor, values, c: int) -> np.ndarray:
+    """values[c*x] for every flat index x, without the digit codec.
+
+    A flat index is a C-order position in the (p,)*n tensor with the axes in
+    reverse coordinate order.  x -> c*x maps every digit k to c*k mod p, the
+    same permutation on each axis, so one gather per axis applies it.
+    """
+    p = space.p
+    perm = np.arange(p) * int(c) % p
+    t = np.asarray(values).reshape((p,) * space.n)
+    for ax in range(space.n):
+        t = np.take(t, perm, axis=ax)
+    return t.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # Dense subsets
 # ---------------------------------------------------------------------------

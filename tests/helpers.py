@@ -54,6 +54,20 @@ def convolve_direct(f: DenseFunction, g: DenseFunction, H: SubspaceBasis) -> np.
     return out
 
 
+PRIMES = (3, 5, 7, 11, 13)
+# Largest n per p with p^n <= 729, so the naive oracles stay fast.
+ORACLE_MAX_N = {3: 6, 5: 4, 7: 3, 11: 2, 13: 2}
+SUBSET_KINDS = ("empty", "full", "random")
+
+
+def subset_of_kind(space: SpaceDescriptor, kind: str, gen: np.random.Generator) -> DenseSubset:
+    if kind == "empty":
+        return DenseSubset.empty(space)
+    if kind == "full":
+        return DenseSubset.full(space)
+    return random_subset(space, gen)
+
+
 def random_subspace(space: SpaceDescriptor, gen: np.random.Generator, max_dim=None) -> SubspaceBasis:
     hi = space.n if max_dim is None else max_dim
     k = int(gen.integers(0, hi + 1))

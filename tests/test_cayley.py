@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import fpnreg.cayley as cayley
 from fpnreg.cayley import (
     CayleyGraph,
     edge_count,
@@ -14,12 +15,12 @@ from fpnreg.cayley import (
     sigma_certificate,
     sparse_check,
 )
-from fpnreg.errors import InputError
+from fpnreg.errors import ContractError, InputError
 from fpnreg.randmodel import sample_exact
 from fpnreg.rng import substream
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localized_count
 
-from helpers import random_subset
+from helpers import ORACLE_MAX_N, PRIMES, SUBSET_KINDS, random_subset, subset_of_kind
 
 SP31 = SpaceDescriptor(3, 1)
 SP32 = SpaceDescriptor(3, 2)
@@ -66,6 +67,34 @@ class TestEdgeCounts:
         d = edge_count_direct(A, X, Y)
         assert round(edge_count_fourier(A, X, Y)) == d
         assert edge_count(A, X, Y) == d
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(
+        n=st.integers(1, max(ORACLE_MAX_N.values())),
+        kinds=st.tuples(*[st.sampled_from(SUBSET_KINDS)] * 3),
+        seed=st.integers(0, 10**6),
+    )
+    @example(n=1, kinds=("empty", "full", "full"), seed=0)
+    @example(n=1, kinds=("full", "full", "full"), seed=0)
+    def test_fourier_matches_direct_every_prime(self, p, n, kinds, seed):
+        space = SpaceDescriptor(p, min(n, ORACLE_MAX_N[p]))
+        gen = np.random.default_rng(seed)
+        A, X, Y = (subset_of_kind(space, kind, gen) for kind in kinds)
+        assert round(edge_count_fourier(A, X, Y)) == edge_count_direct(A, X, Y)
+
+    def test_rounding_margin_guard(self, monkeypatch):
+        # full sets on F_3^2 take the spectral branch (81 pairs > 4 N n = 72);
+        # scaling each of the three spectra by s scales the total 81 by s^3
+        full = DenseSubset.full(SP32)
+        exact = cayley.full_spectrum
+        for total, ok in ((81.2, True), (81.5, False)):
+            s = (total / 81) ** (1 / 3)
+            monkeypatch.setattr(cayley, "full_spectrum", lambda space, v, s=s: exact(space, v) * s)
+            if ok:
+                assert edge_count(full, full, full) == 81
+            else:
+                with pytest.raises(ContractError):
+                    edge_count(full, full, full)
 
     def test_degree_regularity(self):
         gen = np.random.default_rng(1)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpnreg
 from fpnreg.cli import main
 from fpnreg.vectorspace import subset_from_dict
 
@@ -239,3 +244,14 @@ class TestBatch:
         manifest.write_text(json.dumps({"runs": "nope"}))
         status, _, err = run(capsys, ["batch", "--manifest", str(manifest)])
         assert status == 2
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.fft takes ~0.34 s on a 2-core VM, which every CLI start would pay
+    src = str(Path(fpnreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fpnreg; print(fpnreg.__file__); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    path, loaded = out.stdout.splitlines()
+    assert path == fpnreg.__file__
+    assert loaded == "[]"

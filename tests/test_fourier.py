@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fpnreg.errors import InputError
 from fpnreg.fourier import (
     DenseFunction,
+    _multi_dft,
     Spectrum,
     convolve,
     dft,
@@ -86,6 +87,15 @@ class TestDft:
         s = dft(f, SubspaceBasis.full(SP33))
         for xi in range(27):
             assert abs(flat[xi] - s.value_at(xi)) < 1e-12
+
+    def test_batch_axis_transforms_each_row(self):
+        gen = np.random.default_rng(5)
+        rows = gen.uniform(-1, 1, size=(4, 5**3))
+        for inverse in (False, True):
+            batched = _multi_dft(rows, 5, 3, inverse=inverse)
+            single = np.stack([_multi_dft(r, 5, 3, inverse=inverse) for r in rows])
+            assert batched.shape == (4, 5**3)
+            assert np.abs(batched - single).max() < 1e-12
 
 
 class TestSpectrum:

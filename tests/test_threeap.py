@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fpnreg.errors import InputError
+import fpnreg.threeap as threeap
+from fpnreg.errors import ContractError, InputError
 from fpnreg.randmodel import sample_exact
 from fpnreg.rng import substream
 from fpnreg.threeap import (
@@ -19,7 +20,7 @@ from fpnreg.threeap import (
 )
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
 
-from helpers import random_subset, validate_flower
+from helpers import ORACLE_MAX_N, PRIMES, SUBSET_KINDS, random_subset, subset_of_kind, validate_flower
 
 SP31 = SpaceDescriptor(3, 1)
 SP32 = SpaceDescriptor(3, 2)
@@ -68,6 +69,28 @@ class TestCounting:
             cur = count_3aps_naive(A, include_trivial=False)
             assert cur >= prev
             prev = cur
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(n=st.integers(1, max(ORACLE_MAX_N.values())), kind=st.sampled_from(SUBSET_KINDS), seed=st.integers(0, 10**6))
+    @example(n=1, kind="empty", seed=0)
+    @example(n=1, kind="full", seed=0)
+    def test_fourier_matches_naive_every_prime(self, p, n, kind, seed):
+        space = SpaceDescriptor(p, min(n, ORACLE_MAX_N[p]))
+        A = subset_of_kind(space, kind, np.random.default_rng(seed))
+        assert count_3aps_fourier(A) == count_3aps_naive(A)
+
+    def test_rounding_margin_guard(self, monkeypatch):
+        # scaling the spectrum by s scales the cubic total 81 by s^3
+        full = DenseSubset.full(SP32)
+        exact = threeap.full_spectrum
+        for total, ok in ((81.2, True), (81.5, False)):
+            s = (total / 81) ** (1 / 3)
+            monkeypatch.setattr(threeap, "full_spectrum", lambda space, v, s=s: exact(space, v) * s)
+            if ok:
+                assert count_3aps_fourier(full) == 81
+            else:
+                with pytest.raises(ContractError):
+                    count_3aps_fourier(full)
 
     def test_p5_counts(self):
         sp52 = SpaceDescriptor(5, 2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fpnreg.errors import InputError
 from fpnreg.vectorspace import (
@@ -13,6 +13,7 @@ from fpnreg.vectorspace import (
     basis_to_dict,
     coset_representatives,
     digits_to_index,
+    dilate,
     index_to_digits,
     localize,
     localized_count,
@@ -23,6 +24,8 @@ from fpnreg.vectorspace import (
     subset_from_dict,
     subset_to_dict,
 )
+
+from helpers import ORACLE_MAX_N, PRIMES
 
 SP32 = SpaceDescriptor(3, 2)
 SP33 = SpaceDescriptor(3, 3)
@@ -86,6 +89,15 @@ class TestGroupOps:
         rhs = (int(pairing(space, a, c)) + int(pairing(space, b, c))) % space.p
         assert lhs == rhs
         assert int(pairing(space, a, b)) == int(pairing(space, b, a))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(n=st.integers(1, max(ORACLE_MAX_N.values())))
+    @example(n=1)
+    def test_dilate_matches_codec(self, p, n):
+        space = SpaceDescriptor(p, min(n, ORACLE_MAX_N[p]))
+        idx = np.arange(space.N, dtype=np.int64)
+        for c in range(1, p):  # c = p - 1 is negation
+            assert np.array_equal(dilate(space, idx, c), space.smul(c, idx))
 
     def test_space_mismatch(self):
         other = DenseSubset.full(SP33)
