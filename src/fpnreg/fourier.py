@@ -22,7 +22,8 @@ from .vectorspace import (
     SpaceDescriptor,
     SubspaceBasis,
     _check_index,
-    _weights,
+    _flatten,
+    _linear_form,
     same_space,
 )
 
@@ -58,17 +59,23 @@ def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.n
 
 def _dual_data(H: SubspaceBasis):
     """(freqs, eta, rep_for_eta): canonical dual reps of V/H^perp, their
-    coefficient-space frequency for the tensor transform, and the inverse map."""
+    coefficient-space frequency for the tensor transform, and the inverse map.
+
+    freqs[k] has digit k_r at the r-th free coordinate F_r of H^perp, so
+    eta_j = <rows[j], freqs[k]> = sum_r k_r rows[j, F_r] mod p is a linear
+    form in the digits of k and eta = sum_j eta_j p^j; no point is decoded.
+    """
     if "dual" not in H._cache:
         space = H.space
-        freqs = H.annihilator().coset_system().reps
+        p = space.p
+        perp = H.annihilator()
+        freqs = perp.coset_reps()
         if len(freqs) != H.size:
             raise AssertionError("dual representative count must equal |H|")
-        if H.dim:
-            e = (space.digits(freqs) @ H.rows.T) % space.p
-            eta = e @ _weights(space.p, H.dim)
-        else:
-            eta = np.zeros(1, dtype=np.int64)
+        eta = np.zeros((1,) * H.dim, dtype=np.int64)
+        for j, row in enumerate(H.rows):
+            eta = eta + p**j * _linear_form(p, row[list(perp.free)])
+        eta = _flatten(eta, p, H.dim)
         rep_for_eta = np.empty(H.size, dtype=np.int64)
         rep_for_eta[eta] = freqs
         for arr in (eta, rep_for_eta):

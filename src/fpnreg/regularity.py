@@ -22,6 +22,7 @@ from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
+    _dilate,
     annihilator_within,
     same_space,
 )
@@ -62,12 +63,11 @@ class VectorClassification:
 
 def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
     """sup over xi outside H^perp of |fhat(xi)| for the localization A_H^v."""
-    space = same_space(A, H)
-    digs = (H.element_digits() - space.digits(int(v))) % space.p
-    vec = A.mask[space.index(digs)].astype(np.float64)
+    same_space(A, H)
+    vec = A.mask[H.coset_system().localization_row(v)]
     if H.size == 1:
         return 0.0
-    spec = _multi_dft(vec, space.p, H.dim) / H.size
+    spec = _multi_dft(vec, H.space.p, H.dim) / H.size
     return float(np.abs(spec[1:]).max())
 
 
@@ -76,7 +76,8 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
 
     Regularity is coset-invariant, so scanning representatives covers V; the
     witness frequency per irregular coset is the maximizer, ties broken by
-    minimal flat index.
+    minimal flat index.  The localizations come from the coset system's
+    gather, one block of about _SCAN_BLOCK points at a time.
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -89,24 +90,21 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
     sups = np.zeros(K)
     counts = np.zeros(K, dtype=np.int64)
     witnesses = np.full(K, -1, dtype=np.int64)
-    hdig = H.element_digits()
     xi_of_eta = rep_for_eta(H)
+    no_tie = np.iinfo(np.int64).max
 
     block = max(1, _SCAN_BLOCK // max(H.size, 1))
     for lo in range(0, K, block):
         hi = min(lo + block, K)
-        rdig = space.digits(reps[lo:hi])  # (B, n)
-        idx = space.index((hdig[None, :, :] - rdig[:, None, :]) % space.p)
-        vecs = A.mask[idx].astype(np.float64)
-        counts[lo:hi] = vecs.sum(axis=1).astype(np.int64)
+        vecs = A.mask[cs.localization_gather(lo, hi)]
+        counts[lo:hi] = vecs.sum(axis=1)
         if H.size > 1:
             spec = np.abs(_multi_dft(vecs, space.p, H.dim) / H.size)
             sups[lo:hi] = spec[:, 1:].max(axis=1)
-            for j in range(lo, hi):
-                if sups[j] > threshold:
-                    row = spec[j - lo]
-                    ties = np.flatnonzero(row[1:] == sups[j]) + 1
-                    witnesses[j] = xi_of_eta[ties].min()
+            irr = np.flatnonzero(sups[lo:hi] > threshold)
+            if irr.size:
+                ties = spec[irr, 1:] == sups[lo + irr, None]
+                witnesses[lo + irr] = np.where(ties, xi_of_eta[1:], no_tie).min(axis=1)
 
     regular = sups <= threshold
     irregular_mass = int((~regular).sum()) * H.size
@@ -131,12 +129,13 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
 def localized_counts(A: DenseSubset, H: SubspaceBasis) -> np.ndarray:
     """|A_H^v| for every coset representative v, via one bincount pass.
 
-    a in A lands in the coset of v exactly when v + H = -a + H.
+    a in A lands in the coset of v exactly when v + H = -a + H, so the
+    counts per coset id of A are negated on the (p,)*(n - dim H) id tensor.
     """
-    space = same_space(A, H)
+    same_space(A, H)
     cs = H.coset_system()
-    ids = cs.coset_id[space.neg(A.members())]
-    return np.bincount(ids, minlength=cs.K).astype(np.int64)
+    per_id = np.bincount(cs.coset_id[A.members()], minlength=cs.K).astype(np.int64)
+    return _dilate(per_id, H.space.p, len(H.free), -1)
 
 
 def energy(A: DenseSubset, H: SubspaceBasis) -> float:

@@ -28,6 +28,9 @@ from .vectorspace import (
     same_space,
 )
 
+# Entries of one block of the (center, petal, digit) array in the petal search.
+_PETAL_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class APTriple:
@@ -347,68 +350,84 @@ def flower_find(
     ]
     bi_sizes = tuple(len(c.reps) for c in cands)
     bi_shortfalls = tuple(c.shortfall for c in cands)
-    bi_sets = [set(int(x) for x in c.reps) for c in cands]
-
-    counts: dict[int, int] = {}
-    for s in bi_sets:
-        for v in s:
-            counts[v] = counts.get(v, 0) + 1
-    b_set = {v for v, c in counts.items() if c >= 3}
+    # member[i, k]: coset id k is a petal candidate of part i
+    member = np.zeros((m, K), dtype=bool)
+    for i, c in enumerate(cands):
+        member[i, cs.coset_id[c.reps]] = True
+    in_b = member.sum(axis=0) >= 3
+    b_size = int(in_b.sum())
     case1_threshold = alpha / (8 * m) * K
 
-    if all(len(s) == 0 for s in bi_sets):
+    if not member.any():
         return FlowerSearchReport(
             False, None, "empty_petal_candidates", None, part_sizes,
-            bi_sizes, bi_shortfalls, len(b_set), case1_threshold, mrep,
+            bi_sizes, bi_shortfalls, b_size, case1_threshold, mrep,
         )
 
     discard_bound = None
-    if len(b_set) >= case1_threshold:
+    if b_size >= case1_threshold:
         case = "triple_overlap"
-        eligible = [sorted(b_set & s) for s in bi_sets]
+        eligible = member & in_b
     else:
         case = "disjoint_parts"
-        eligible = [[] for _ in range(m)]
-        union = sorted(set().union(*bi_sets) - b_set)
-        for v in union:
-            for i in range(m):
-                if v in bi_sets[i]:
-                    eligible[i].append(v)
-                    break
-        discard_bound = 3.0 * sum(len(e) ** 2 for e in eligible)
+        # every id outside B goes to the lowest part holding it
+        rest = member & ~in_b
+        held = np.flatnonzero(rest.any(axis=0))
+        eligible = np.zeros_like(member)
+        eligible[np.argmax(rest[:, held], axis=0), held] = True
+        discard_bound = 3.0 * sum(int(e.sum()) ** 2 for e in eligible)
 
-    elig_arrays = [np.array(e, dtype=np.int64) for e in eligible]
-    elig_sets = [set(e) for e in eligible]
+    # Ids ascend with the reps.  reps[k] has digit k_r at the r-th free
+    # coordinate and 0 at every pivot, so the coset of 2c - u has id
+    # sum_r p^r ((2 c_r - u_r) mod p) in the digits of the ids.
+    p = space.p
+    weights = p ** np.arange(len(H.free), dtype=np.int64)
+    elig_ids = [np.flatnonzero(e) for e in eligible]
+    elig_digits = [(ids[:, None] // weights) % p for ids in elig_ids]
 
-    best = None  # (count, i0, j0, k0, center, petals)
+    def midpoint_ids(i0, j0, lo, hi):
+        cd, ud = elig_digits[i0][lo:hi], elig_digits[j0]
+        return ((2 * cd[:, None, :] - ud[None, :, :]) % p) @ weights
+
+    def petal_mask(i0, j0, k0, lo, hi):
+        distinct = elig_ids[i0][lo:hi, None] != elig_ids[j0][None, :]
+        return eligible[k0][midpoint_ids(i0, j0, lo, hi)] & distinct
+
+    # Maximize over (i0, j0, k0) and then centers in ascending order; the
+    # first maximum wins, as a strict comparison in that loop order would.
+    best = None  # (count, i0, j0, k0, center position)
     for i0 in range(m):
+        n_centers = len(elig_ids[i0])
         for j0 in range(m):
-            if j0 == i0 or len(elig_arrays[j0]) == 0:
+            if j0 == i0 or n_centers == 0 or len(elig_ids[j0]) == 0:
                 continue
-            for k0 in range(m):
-                if k0 in (i0, j0) or not elig_sets[k0]:
-                    continue
-                for c in elig_arrays[i0]:
-                    us = elig_arrays[j0]
-                    ws = cs.rep_of(space.sub(space.smul(2, int(c)), us))
-                    ok = np.array(
-                        [int(u) != int(c) and int(w) in elig_sets[k0] for u, w in zip(us, ws)]
-                    )
-                    cnt = int(ok.sum())
-                    if cnt and (best is None or cnt > best[0]):
-                        petals = tuple(
-                            (int(u), int(w)) for u, w, good in zip(us, ws, ok) if good
-                        )
-                        best = (cnt, i0, j0, k0, int(c), petals)
+            k0s = [k0 for k0 in range(m) if k0 not in (i0, j0) and len(elig_ids[k0])]
+            counts = np.zeros((m, n_centers), dtype=np.int64)
+            block = max(1, _PETAL_BLOCK // (len(elig_ids[j0]) * max(len(weights), 1)))
+            for lo in range(0, n_centers, block):
+                hi = min(lo + block, n_centers)
+                for k0 in k0s:
+                    counts[k0, lo:hi] = petal_mask(i0, j0, k0, lo, hi).sum(axis=1)
+            for k0 in k0s:
+                at = int(np.argmax(counts[k0]))
+                cnt = int(counts[k0, at])
+                if cnt and (best is None or cnt > best[0]):
+                    best = (cnt, i0, j0, k0, at)
 
+    eligible_sizes = tuple(len(ids) for ids in elig_ids)
     if best is None:
         return FlowerSearchReport(
             False, None, "no_cross_part_3aps", case, part_sizes,
-            bi_sizes, bi_shortfalls, len(b_set), case1_threshold, mrep,
-            tuple(len(e) for e in eligible), discard_bound,
+            bi_sizes, bi_shortfalls, b_size, case1_threshold, mrep,
+            eligible_sizes, discard_bound,
         )
 
-    cnt, i0, j0, k0, center, petals = best
+    cnt, i0, j0, k0, at = best
+    ok = petal_mask(i0, j0, k0, at, at + 1)[0]
+    us = cs.reps[elig_ids[j0][ok]]
+    ws = cs.reps[midpoint_ids(i0, j0, at, at + 1)[0][ok]]
+    center = int(cs.reps[elig_ids[i0][at]])
+    petals = tuple(zip(us.tolist(), ws.tolist()))
     flower = Flower(
         H=H,
         parts=tuple(parts),
@@ -424,8 +443,8 @@ def flower_find(
     )
     return FlowerSearchReport(
         True, flower, None, case, part_sizes,
-        bi_sizes, bi_shortfalls, len(b_set), case1_threshold, mrep,
-        tuple(len(e) for e in eligible), discard_bound,
+        bi_sizes, bi_shortfalls, b_size, case1_threshold, mrep,
+        eligible_sizes, discard_bound,
     )
 
 

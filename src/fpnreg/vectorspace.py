@@ -21,9 +21,6 @@ MAX_DENSE_POINTS = 10_000_000
 ALLOWED_PRIMES = (3, 5, 7, 11, 13)
 MAX_DIMENSION = 12
 
-_CHUNK = 1 << 18
-
-
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """The ambient group F_p^n with its point codec."""
@@ -97,6 +94,13 @@ def _check_index(space: SpaceDescriptor, index) -> np.ndarray:
     return idx
 
 
+def _check_points(space: SpaceDescriptor, points) -> np.ndarray:
+    """Validated int64 indices from an integer array or any iterable of ints."""
+    if isinstance(points, np.ndarray) and points.dtype.kind in "iu":
+        return _check_index(space, points)
+    return _check_index(space, np.asarray(list(points), dtype=np.int64))
+
+
 def same_space(*objs) -> SpaceDescriptor:
     spaces = {o.space for o in objs}
     if len(spaces) != 1:
@@ -139,19 +143,67 @@ def pairing(space: SpaceDescriptor, a, b):
     return space.pair(_check_index(space, a), _check_index(space, b))
 
 
+def _digit_sum(p: int, vectors) -> np.ndarray:
+    """sum_i vectors[i][k_i] on the (p,)*m tensor of k = sum_i k_i p^i.
+
+    Digit i is axis m - 1 - i.  An all-zero vector leaves its axis at length
+    1, so these tensors add by broadcasting and grow only along the axes
+    they use; _flatten spreads one over every k.
+    """
+    m = len(vectors)
+    total = np.zeros((1,) * m, dtype=np.int64)
+    for i, vec in enumerate(vectors):
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.any():
+            shape = [1] * m
+            shape[m - 1 - i] = p
+            total = total + vec.reshape(shape)
+    return total
+
+
+def _linear_form(p: int, coeffs) -> np.ndarray:
+    """(sum_i coeffs[i] k_i) mod p as a _digit_sum tensor."""
+    k = np.arange(p, dtype=np.int64)
+    return _digit_sum(p, [k * (int(a) % p) for a in coeffs]) % p
+
+
+def _flatten(t: np.ndarray, p: int, m: int) -> np.ndarray:
+    """A _digit_sum tensor spread over the full (p,)*m digit tensor, flat."""
+    return np.ascontiguousarray(np.broadcast_to(t, (p,) * m)).reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _digit_perm(p: int, m: int, c: int) -> np.ndarray:
+    """The flat index of c*x for every x in the (p,)*m digit tensor."""
+    step = np.arange(p, dtype=np.int64) * c % p
+    perm = _flatten(_digit_sum(p, [step * p**i for i in range(m)]), p, m)
+    perm.flags.writeable = False
+    return perm
+
+
+def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
+    """values[c*x] over the flat indices x of the (p,)*m digit tensor.
+
+    x -> c*x maps every digit k to c*k mod p.  The digits split into a high
+    and a low block; each block's permutation is the digit-wise one composed
+    over its digits (about sqrt(p^m) entries, cached), so two np.take passes
+    apply it.
+    """
+    c = int(c) % p
+    low = m // 2
+    t = np.asarray(values).reshape(p ** (m - low), p**low)
+    t = np.take(t, _digit_perm(p, m - low, c), axis=0)
+    return np.take(t, _digit_perm(p, low, c), axis=1).reshape(-1)
+
+
 def dilate(space: SpaceDescriptor, values, c: int) -> np.ndarray:
     """values[c*x] for every flat index x, without the digit codec.
 
     A flat index is a C-order position in the (p,)*n tensor with the axes in
-    reverse coordinate order.  x -> c*x maps every digit k to c*k mod p, the
-    same permutation on each axis, so one gather per axis applies it.
+    reverse coordinate order, and x -> c*x applies the same permutation
+    k -> c*k mod p to every digit.
     """
-    p = space.p
-    perm = np.arange(p) * int(c) % p
-    t = np.asarray(values).reshape((p,) * space.n)
-    for ax in range(space.n):
-        t = np.take(t, perm, axis=ax)
-    return t.reshape(-1)
+    return _dilate(values, space.p, space.n, c)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +229,7 @@ class DenseSubset:
 
     @classmethod
     def from_members(cls, space: SpaceDescriptor, members) -> "DenseSubset":
-        idx = _check_index(space, np.asarray(list(members), dtype=np.int64))
+        idx = _check_points(space, members)
         mask = np.zeros(space.N, dtype=bool)
         mask[idx] = True
         return cls(space, mask)
@@ -304,7 +356,7 @@ class SubspaceBasis:
 
     @classmethod
     def from_vectors(cls, space: SpaceDescriptor, vectors) -> "SubspaceBasis":
-        idx = _check_index(space, np.asarray(list(vectors), dtype=np.int64))
+        idx = _check_points(space, vectors)
         if idx.size == 0:
             return cls.zero(space)
         return cls.from_rows(space, space.digits(idx))
@@ -335,35 +387,44 @@ class SubspaceBasis:
     def is_full(self) -> bool:
         return self.dim == self.space.n
 
-    # -- membership and coset labels -------------------------------------
-
-    def coset_label(self, index) -> np.ndarray:
-        """Minimal flat index in the coset index + H (vectorized)."""
-        d = self.space.digits(index)
-        if self.dim:
-            coeff = d[..., list(self.pivots)]
-            d = (d - coeff @ self.rows) % self.space.p
-        return self.space.index(d)
+    # -- membership -------------------------------------------------------
 
     def contains(self, index) -> np.ndarray:
-        return self.coset_label(index) == 0
+        return self.member_mask()[_check_index(self.space, index)]
 
     # -- cached enumerations ----------------------------------------------
 
+    @property
+    def free(self) -> tuple:
+        """Coordinates that are not pivots, ascending: the axes of V/H."""
+        return tuple(f for f in range(self.space.n) if f not in self.pivots)
+
+    def _coeff_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pivot_part, free_digits) over the coefficient indices c.
+
+        h_c = sum_j c_j rows[j] for c = sum_j c_j p^j.  Row j is 1 at pivot j
+        and 0 at the other pivots, so h_c has digit c_j there:
+        pivot_part[c] = sum_j c_j p^(pivots[j]).  free_digits[r, c] is the
+        digit of h_c at free coordinate r, (sum_j c_j rows[j, free[r]]) mod p.
+        """
+        if "coeff_tables" not in self._cache:
+            p = self.space.p
+            k = np.arange(p, dtype=np.int64)
+            pivot_part = _flatten(_digit_sum(p, [k * p**pc for pc in self.pivots]), p, self.dim)
+            free_digits = np.empty((len(self.free), self.size), dtype=np.int64)
+            for r, f in enumerate(self.free):
+                free_digits[r] = _flatten(_linear_form(p, self.rows[:, f]), p, self.dim)
+            for arr in (pivot_part, free_digits):
+                arr.flags.writeable = False
+            self._cache["coeff_tables"] = (pivot_part, free_digits)
+        return self._cache["coeff_tables"]
+
     def _coeff_elements(self) -> np.ndarray:
-        """Element indices in coefficient-lex order: entry c is digits(c) @ rows."""
+        """Element indices in coefficient-lex order: entry c is h_c."""
         if "coeff_elements" not in self._cache:
-            p, d = self.space.p, self.dim
-            if d == 0:
-                elems = np.zeros(1, dtype=np.int64)
-            else:
-                cw = _weights(p, d)
-                out = np.empty(self.size, dtype=np.int64)
-                for lo in range(0, self.size, _CHUNK):
-                    hi = min(lo + _CHUNK, self.size)
-                    coeffs = (np.arange(lo, hi, dtype=np.int64)[:, None] // cw) % p
-                    out[lo:hi] = self.space.index(coeffs @ self.rows % p)
-                elems = out
+            pivot_part, free_digits = self._coeff_tables()
+            fw = np.array([self.space.p**f for f in self.free], dtype=np.int64)
+            elems = pivot_part + fw @ free_digits
             elems.flags.writeable = False
             self._cache["coeff_elements"] = elems
         return self._cache["coeff_elements"]
@@ -375,14 +436,6 @@ class SubspaceBasis:
             e.flags.writeable = False
             self._cache["elements"] = e
         return self._cache["elements"]
-
-    def element_digits(self) -> np.ndarray:
-        """Digit rows of _coeff_elements(), cached for hot localization loops."""
-        if "element_digits" not in self._cache:
-            d = self.space.digits(self._coeff_elements())
-            d.flags.writeable = False
-            self._cache["element_digits"] = d
-        return self._cache["element_digits"]
 
     def member_mask(self) -> np.ndarray:
         if "member_mask" not in self._cache:
@@ -398,9 +451,26 @@ class SubspaceBasis:
     def annihilator(self) -> "SubspaceBasis":
         """H^perp = {xi : <x, xi> = 0 for all x in H}, within V."""
         if "annihilator" not in self._cache:
-            null = _nullspace(self.rows, self.space.p, self.space.n)
+            # rows are reduced, so e_f - sum_j rows[j, f] e_(pivots[j]) per
+            # free coordinate f spans the null space
+            free = list(self.free)
+            null = np.zeros((len(free), self.space.n), dtype=np.int64)
+            null[:, free] = np.eye(len(free), dtype=np.int64)
+            null[:, list(self.pivots)] = (-self.rows[:, free].T) % self.space.p
             self._cache["annihilator"] = SubspaceBasis.from_rows(self.space, null)
         return self._cache["annihilator"]
+
+    def coset_reps(self) -> np.ndarray:
+        """Canonical representatives of V/H, ascending: the points that are 0
+        at every pivot.  Entry k has digit k_r at free[r], where
+        k = sum_r k_r p^r, so the entry's position is its coset id."""
+        if "coset_reps" not in self._cache:
+            p = self.space.p
+            k = np.arange(p, dtype=np.int64)
+            reps = _flatten(_digit_sum(p, [k * p**f for f in self.free]), p, len(self.free))
+            reps.flags.writeable = False
+            self._cache["coset_reps"] = reps
+        return self._cache["coset_reps"]
 
     def coset_system(self) -> "CosetSystem":
         if "coset_system" not in self._cache:
@@ -410,7 +480,20 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class CosetSystem:
-    """Canonical representatives of V/H: minimal flat index per coset, ascending."""
+    """Canonical representatives of V/H: minimal flat index per coset, ascending.
+
+    With pivots P and free coordinates F of H's reduced basis R, the coset of
+    x has the linear id
+
+        coset_id(x) = sum_r p^r ((x_{F_r} - sum_j R[j, F_r] x_{P_j}) mod p),
+
+    and reps[k] is the point with digit k_r at F_r and 0 at every pivot, so
+    ids follow the ascending order of the representatives and V/H is the
+    (p,)*(n - dim H) digit tensor of the ids.  Memory held per H: reps (K
+    int64) and coset_id (one int64 N-array).  The localization gather is not
+    kept: localization_gather builds the rows it is asked for, and
+    classify_vectors asks for one _SCAN_BLOCK-sized row block at a time.
+    """
 
     subspace: SubspaceBasis
     reps: np.ndarray = field(compare=False)
@@ -426,26 +509,77 @@ class CosetSystem:
     def id_of(self, index):
         return self.coset_id[index]
 
+    def localization_gather(self, lo: int, hi: int) -> np.ndarray:
+        """G[k - lo, c] = flat(h_c - reps[k]) for coset ids lo <= k < hi.
+
+        Row k lists the points whose membership in A is the localization
+        A_H^(reps[k]) in coefficient order.  h_c - reps[k] has digit c_j at
+        pivot j and (free_digits[r, c] - k_r) mod p at free[r].  [lo, hi) is
+        cut into runs of p^s ids that share every digit k_r with r >= s;
+        each run is one broadcast over its s low digits.
+        """
+        H = self.subspace
+        p, q = H.space.p, len(H.free)
+        pivot_part, free_digits = H._coeff_tables()
+        k = np.arange(p, dtype=np.int64)
+        runs = []
+        while lo < hi:
+            s = 0
+            while s < q and lo % p ** (s + 1) == 0 and lo + p ** (s + 1) <= hi:
+                s += 1
+            rows = pivot_part.copy()
+            for r in range(s, q):
+                k_r = (lo // p**r) % p  # shared by the whole run
+                rows += p ** H.free[r] * ((free_digits[r] - k_r) % p)
+            rows = rows[None, :]
+            for r in range(s):
+                digit = p ** H.free[r] * ((free_digits[r][None, :] - k[:, None]) % p)
+                rows = (digit[:, None, :] + rows[None, :, :]).reshape(-1, H.size)
+            runs.append(rows)
+            lo += p**s
+        if not runs:
+            return np.empty((0, H.size), dtype=np.int64)
+        return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+    def localization_row(self, v: int) -> np.ndarray:
+        """flat(h_c - v) for every coefficient index c.
+
+        v = reps[k] + h_{c'} with k = coset_id[v] and c'_j the digit of v at
+        pivot j, so the row is row k of the gather with every coefficient
+        digit shifted by c'_j: one roll of the (p,)*dim coefficient tensor.
+        """
+        H = self.subspace
+        p, d = H.space.p, H.dim
+        v = int(_check_index(H.space, v))
+        k = int(self.coset_id[v])
+        row = self.localization_gather(k, k + 1)[0]
+        if d == 0:
+            return row
+        shift = [(v // p**pc) % p for pc in H.pivots]
+        # coefficient digit j sits on axis d - 1 - j of the C-order tensor
+        axes = [d - 1 - j for j in range(d)]
+        return np.roll(row.reshape((p,) * d), shift, axis=axes).reshape(-1)
+
 
 def _build_coset_system(H: SubspaceBasis) -> CosetSystem:
+    """reps from H.coset_reps() and the N-array of linear coset ids.
+
+    The id digit of free coordinate F_r is a linear form in x_{F_r} and the
+    pivot digits with a nonzero R[j, F_r].  Summing the forms by
+    broadcasting grows the array by a factor p per new axis, so the build
+    costs about p/(p-1) N adds.
+    """
     space = H.space
-    N = space.N
-    if H.dim == space.n:
-        reps = np.zeros(1, dtype=np.int64)
-        ids = np.zeros(N, dtype=np.int64)
-    elif H.dim == 0:
-        reps = np.arange(N, dtype=np.int64)
-        ids = np.arange(N, dtype=np.int64)
-    else:
-        labels = np.empty(N, dtype=np.int64)
-        for lo in range(0, N, _CHUNK):
-            hi = min(lo + _CHUNK, N)
-            labels[lo:hi] = H.coset_label(np.arange(lo, hi, dtype=np.int64))
-        reps, ids = np.unique(labels, return_inverse=True)
-        ids = ids.astype(np.int64)
-    reps.flags.writeable = False
+    p, n = space.p, space.n
+    ids = np.zeros((1,) * n, dtype=np.int64)
+    for r, f in enumerate(H.free):
+        coeffs = np.zeros(n, dtype=np.int64)
+        coeffs[f] = 1
+        coeffs[list(H.pivots)] = -H.rows[:, f]
+        ids = ids + p**r * _linear_form(p, coeffs)
+    ids = _flatten(ids, p, n)
     ids.flags.writeable = False
-    return CosetSystem(H, reps, ids)
+    return CosetSystem(H, H.coset_reps(), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +598,7 @@ def annihilator_within(H: SubspaceBasis, frequencies) -> SubspaceBasis:
     For m distinct frequencies |H'| >= |H| / p^m.
     """
     space = H.space
-    freqs = _check_index(space, np.asarray(list(frequencies), dtype=np.int64))
+    freqs = _check_points(space, frequencies)
     if H.dim == 0 or freqs.size == 0:
         return SubspaceBasis.from_rows(space, H.rows)
     # x = c @ rows; constraint c @ (rows @ xi) = 0 per frequency.
@@ -482,18 +616,16 @@ def coset_representatives(H: SubspaceBasis) -> CosetSystem:
 def localize(A: DenseSubset, H: SubspaceBasis, v: int) -> DenseSubset:
     """The localization (A + v) intersect H, as a subset supported on H."""
     space = same_space(A, H)
-    v = int(_check_index(space, v))
-    helems = H.elements()
-    sel = A.mask[space.sub(helems, v)]
+    sel = A.mask[H.coset_system().localization_row(v)]
     mask = np.zeros(space.N, dtype=bool)
-    mask[helems[sel]] = True
+    mask[H._coeff_elements()[sel]] = True
     return DenseSubset(space, mask)
 
 
 def localized_count(A: DenseSubset, H: SubspaceBasis, v: int) -> int:
     """|A_H^v| without materializing the subset."""
-    space = same_space(A, H)
-    return int(A.mask[space.sub(H.elements(), int(v))].sum())
+    same_space(A, H)
+    return int(A.mask[H.coset_system().localization_row(v)].sum())
 
 
 # ---------------------------------------------------------------------------

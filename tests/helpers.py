@@ -6,6 +6,7 @@ vectorspace/fourier primitives, never the search code under test.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -141,3 +142,110 @@ def validate_flower(flower, A: DenseSubset | None = None) -> list:
         if ck < 0.25 * part_k.card * H.size / space.N:
             problems.append(f"petal w={w} fails the density condition: {ck}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Coset geometry from the digit codec
+# ---------------------------------------------------------------------------
+
+
+def coset_labels_oracle(H: SubspaceBasis, index) -> np.ndarray:
+    """Minimal flat index of index + H: decode, clear every pivot digit with
+    its basis row, encode."""
+    space = H.space
+    d = space.digits(index)
+    if H.dim:
+        d = (d - d[..., list(H.pivots)] @ H.rows) % space.p
+    return space.index(d)
+
+
+def coset_system_oracle(H: SubspaceBasis):
+    """(reps, coset_id): the distinct labels of all points, ascending, and
+    each point's position among them."""
+    labels = coset_labels_oracle(H, np.arange(H.space.N, dtype=np.int64))
+    reps, ids = np.unique(labels, return_inverse=True)
+    return reps, ids.reshape(-1)
+
+
+def coeff_elements_oracle(H: SubspaceBasis) -> np.ndarray:
+    """h_c = (c_0, ..., c_{dim-1}) @ rows mod p for c = sum_j c_j p^j."""
+    space = H.space
+    c = np.arange(H.size, dtype=np.int64)
+    coeffs = (c[:, None] // space.p ** np.arange(H.dim, dtype=np.int64)) % space.p
+    return space.index(coeffs @ H.rows % space.p)
+
+
+def localization_rows_oracle(H: SubspaceBasis, points) -> np.ndarray:
+    """flat(h_c - v) for every v in points (rows) and coefficient index c."""
+    space = H.space
+    hd = space.digits(coeff_elements_oracle(H))
+    vd = space.digits(np.asarray(points, dtype=np.int64))
+    return space.index((hd[None, :, :] - vd[:, None, :]) % space.p)
+
+
+def localized_counts_oracle(A: DenseSubset, H: SubspaceBasis, reps) -> np.ndarray:
+    """|A_H^v| = #{x in H : x - v in A} for every v in reps, one at a time."""
+    space = A.space
+    elems = H.elements()
+    return np.array([int(A.mask[space.sub(elems, int(v))].sum()) for v in reps], dtype=np.int64)
+
+
+def petal_search_oracle(report, alpha: float):
+    """The flower stages after the joint regularization, redone literally.
+
+    Candidates per part (regular, dense, truncated to the lowest
+    ceil(alpha/(4m) K) reps), the triple-overlap set B and the case branch,
+    the eligible pools, then every (i0, j0, k0, center) in loop order,
+    keeping the first one with the most petals.  Returns (case, |B|,
+    eligible sizes, best, ties): best is (count, i0, j0, k0, center, petals)
+    or None, ties the number of (i0, j0, k0, center) reaching that count.
+    """
+    mrep = report.multi_report
+    H = mrep.H_final
+    space = H.space
+    classes = mrep.classifications
+    m = len(classes)
+    reps, ids = coset_system_oracle(H)
+    K = len(reps)
+    cands = []
+    for part_size, cls in zip(report.part_sizes, classes):
+        dens = 0.25 * part_size * H.size / space.N
+        chosen = [int(v) for v, reg, cnt in zip(cls.reps, cls.regular, cls.counts) if reg and cnt >= dens]
+        cands.append(set(chosen[: math.ceil(alpha / (4 * m) * K)]))
+    mult = {}
+    for s in cands:
+        for v in s:
+            mult[v] = mult.get(v, 0) + 1
+    b_set = {v for v, c in mult.items() if c >= 3}
+    if not any(cands):
+        return None, len(b_set), (), None, 0
+    if len(b_set) >= alpha / (8 * m) * K:
+        case = "triple_overlap"
+        eligible = [sorted(b_set & s) for s in cands]
+    else:
+        case = "disjoint_parts"
+        eligible = [[] for _ in range(m)]
+        for v in sorted(set().union(*cands) - b_set):
+            owner = next(i for i in range(m) if v in cands[i])
+            eligible[owner].append(v)
+
+    found = []
+    for i0 in range(m):
+        for j0 in range(m):
+            for k0 in range(m):
+                if len({i0, j0, k0}) != 3:
+                    continue
+                for c in eligible[i0]:
+                    petals = []
+                    for u in eligible[j0]:
+                        w = int(reps[ids[int(space.sub(int(space.smul(2, c)), u))]])
+                        if u != c and w in eligible[k0]:
+                            petals.append((u, w))
+                    if petals:
+                        found.append((len(petals), i0, j0, k0, c, tuple(petals)))
+    if not found:
+        return case, len(b_set), tuple(len(e) for e in eligible), None, 0
+    top = max(f[0] for f in found)
+    best = next(f for f in found if f[0] == top)
+    ties = sum(1 for f in found if f[0] == top)
+    return case, len(b_set), tuple(len(e) for e in eligible), best, ties

@@ -65,6 +65,34 @@ class TestCodec:
         assert digits_to_index(space, index_to_digits(space, idx)) == idx
 
 
+class TestPointInputs:
+    def test_array_and_iterable_forms_agree(self):
+        members = [7, 0, 3, 3]
+        want = DenseSubset.from_members(SP32, members)
+        forms = (
+            np.array(members),
+            np.array(members, dtype=np.int32),
+            np.array(members, dtype=np.uint8),
+            np.array(members, dtype=float),
+            iter(members),
+            set(members),
+        )
+        for form in forms:
+            assert DenseSubset.from_members(SP32, form) == want
+        assert SubspaceBasis.from_vectors(SP32, np.array([1, 2])) == SubspaceBasis.from_vectors(SP32, [1, 2])
+        full = SubspaceBasis.full(SP32)
+        assert annihilator_within(full, np.array([3], dtype=np.int16)) == annihilator_within(full, [3])
+
+    def test_integer_arrays_are_validated(self):
+        for bad in (np.array([0, 9]), np.array([-1], dtype=np.int8)):
+            with pytest.raises(InputError):
+                DenseSubset.from_members(SP32, bad)
+            with pytest.raises(InputError):
+                SubspaceBasis.from_vectors(SP32, bad)
+            with pytest.raises(InputError):
+                annihilator_within(SubspaceBasis.full(SP32), bad)
+
+
 class TestGroupOps:
     def test_worked_examples(self):
         a = digits_to_index(SP32, (1, 2))
