@@ -41,7 +41,7 @@ def flower_rates():
             members = R.members()
             pick = np.sort(gen.choice(len(members), size=R.card // 2, replace=False))
             A = DenseSubset.from_members(sp36, members[pick])
-            found += flower_find(A, 3, eps, 0.5, 1, seed).found
+            found += flower_find(A, 3, eps, 0.5, 1).found
         print(f"flower_find hit rate on F_3^6 (m=3, eps={eps}, alpha=0.5): {found}/50")
 
 

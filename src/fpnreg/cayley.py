@@ -284,19 +284,38 @@ def pair_density_check(
 
 class PetalGraph:
     """Bipartite midpoint graph on (H - v1, H - v2): u1 ~ u2 whenever
-    (u1 + u2) / 2 lies in A.  Odd p makes the halving well defined."""
+    (u1 + u2) / 2 lies in A.  Odd p makes the halving well defined.
+
+    Position i on either side is the i-th element h_i of H.elements().  With
+    w = (v1 + v2) / 2 the pair (i, j) meets at (h_i + h_j) / 2 - w, which runs
+    over all of H - w as either end runs over its side.  So the graph is a
+    Cayley graph of H and every vertex on either side has degree
+    |A_H^w| = |(A + w) ^ H|; it has u |A_H^w| edges.  One localized row
+    row[c] = [h_c - w in A] decides every edge: the midpoint's coefficient
+    digits are inv2 (c_i + c_j) mod p, where h's coefficient digit j is its
+    digit at pivot j.
+    """
 
     def __init__(self, generator: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
         space = same_space(generator, H)
+        p = space.p
         self.generator = generator
         self.H = H
         self.v1 = int(_check_index(space, v1))
         self.v2 = int(_check_index(space, v2))
         self.space = space
         self.u = H.size
-        self._left = space.sub(H.elements(), self.v1)
-        self._right = space.sub(H.elements(), self.v2)
-        self._left_deg = None
+        cs = H.coset_system()
+        coeffs = (H.elements()[:, None] // p ** np.array(H.pivots, dtype=np.int64)) % p
+        self._weights = p ** np.arange(H.dim, dtype=np.int64)
+        coeff_index = coeffs @ self._weights
+        self._left = cs.localization_row(self.v1)[coeff_index]
+        self._right = cs.localization_row(self.v2)[coeff_index]
+        # inv2 (a + b) = inv2 a + inv2 b, so each side is halved once here
+        self._half = space.inv2 * coeffs % p
+        w = int(space.smul(space.inv2, space.add(self.v1, self.v2)))
+        self._row = generator.mask[cs.localization_row(w)]
+        self._degree = int(self._row.sum())
 
     def left_points(self) -> np.ndarray:
         return self._left
@@ -306,60 +325,39 @@ class PetalGraph:
 
     def _edge_block(self, lpos, rpos) -> np.ndarray:
         """Boolean adjacency block for positions lpos x rpos."""
-        space = self.space
-        ld = space.digits(self._left[np.asarray(lpos, dtype=np.int64)])
-        rd = space.digits(self._right[np.asarray(rpos, dtype=np.int64)])
-        mid = space.inv2 * (ld[:, None, :] + rd[None, :, :]) % space.p
-        return self.generator.mask[space.index(mid)]
+        hl = self._half[np.asarray(lpos, dtype=np.int64)]
+        hr = self._half[np.asarray(rpos, dtype=np.int64)]
+        mid = (hl[:, None, :] + hr[None, :, :]) % self.space.p
+        return self._row[mid @ self._weights]
+
+    def _blocks(self, lpos, rpos):
+        """_edge_block over lpos x rpos, lpos cut into chunks of about
+        _PAIR_BLOCK digit entries."""
+        lpos = np.asarray(lpos, dtype=np.int64)
+        rpos = np.asarray(rpos, dtype=np.int64)
+        step = max(1, _PAIR_BLOCK // max(len(rpos) * self.H.dim, 1))
+        for lo in range(0, len(lpos), step):
+            yield self._edge_block(lpos[lo : lo + step], rpos)
 
     def edges_between(self, lpos, rpos) -> int:
-        lpos = np.asarray(lpos, dtype=np.int64)
-        rpos = np.asarray(rpos, dtype=np.int64)
-        if len(lpos) == 0 or len(rpos) == 0:
-            return 0
-        total = 0
-        block = max(1, _PAIR_BLOCK // max(len(rpos), 1))
-        for lo in range(0, len(lpos), block):
-            total += int(self._edge_block(lpos[lo : lo + block], rpos).sum())
-        return total
+        return sum(int(block.sum()) for block in self._blocks(lpos, rpos))
 
     def any_edge(self, lpos, rpos) -> bool:
-        lpos = np.asarray(lpos, dtype=np.int64)
-        rpos = np.asarray(rpos, dtype=np.int64)
-        if len(lpos) == 0 or len(rpos) == 0:
-            return False
-        block = max(1, _PAIR_BLOCK // max(len(rpos), 1))
-        for lo in range(0, len(lpos), block):
-            if self._edge_block(lpos[lo : lo + block], rpos).any():
-                return True
-        return False
+        return any(block.any() for block in self._blocks(lpos, rpos))
 
     def edge_count(self) -> int:
-        return self.edges_between(np.arange(self.u), np.arange(self.u))
+        return self.u * self._degree
 
     def density(self) -> float:
-        return self.edge_count() / self.u**2
+        return self._degree / self.u
 
     def left_degrees(self) -> np.ndarray:
-        if self._left_deg is None:
-            deg = np.empty(self.u, dtype=np.int64)
-            rall = np.arange(self.u, dtype=np.int64)
-            block = max(1, _PAIR_BLOCK // self.u)
-            for lo in range(0, self.u, block):
-                lpos = np.arange(lo, min(lo + block, self.u), dtype=np.int64)
-                deg[lpos] = self._edge_block(lpos, rall).sum(axis=1)
-            self._left_deg = deg
-        return self._left_deg
+        return np.full(self.u, self._degree, dtype=np.int64)
 
     def right_degrees_into(self, lpos) -> np.ndarray:
-        lpos = np.asarray(lpos, dtype=np.int64)
-        if len(lpos) == 0:
-            return np.zeros(self.u, dtype=np.int64)
-        deg = np.empty(self.u, dtype=np.int64)
-        block = max(1, _PAIR_BLOCK // max(len(lpos), 1))
-        for lo in range(0, self.u, block):
-            rpos = np.arange(lo, min(lo + block, self.u), dtype=np.int64)
-            deg[rpos] = self._edge_block(lpos, rpos).sum(axis=0)
+        deg = np.zeros(self.u, dtype=np.int64)
+        for block in self._blocks(lpos, np.arange(self.u, dtype=np.int64)):
+            deg += block.sum(axis=0)
         return deg
 
 

@@ -194,7 +194,7 @@ def _run_density_test(args):
 
 def _run_flower_find(args):
     A = _load_set(args)
-    rep = flower_find(A, args.m, args.eps, args.alpha, args.floor, args.seed)
+    rep = flower_find(A, args.m, args.eps, args.alpha, args.floor)
     result = to_jsonable(rep)
     if result.get("multi_report"):
         del result["multi_report"]["classifications"]
@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--out", type=str, default="-")
         sp.add_argument("--format", choices=("structured", "rows"), default="structured")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="reserved; execution is deterministic single-thread")
 
     p = sub.add_parser("fourier-check", help="transform identity suite on random triples")
     common(p, seeded=True)
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
 
     p = sub.add_parser("flower-find", help="search the canonical split for a flower")
-    common(p, setinput=True, seeded=True)
+    common(p, setinput=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -385,8 +383,6 @@ def _config_echo(args) -> dict:
 
 def run_command(args) -> tuple[int, str]:
     """Execute one parsed subcommand; returns (exit_status, emitted_text)."""
-    if args.threads is not None and args.threads < 1:
-        raise InputError("--threads must be >= 1")
     handler = HANDLERS[args.command]
     result, (header, rows) = handler(args)
     if args.format == "rows":

@@ -17,40 +17,11 @@ import numpy as np
 
 from .errors import ContractError, InputError
 from .fourier import full_spectrum
-from .rng import GENERATOR_ID, sample_without_replacement, substream
+from .rng import sample_without_replacement, substream
 from .threeap import DensityTestReport, density_test
 from .vectorspace import DenseSubset, SpaceDescriptor, _check_index
 
 _COUPLING_ATTEMPTS = 1000
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Echoable configuration of a randomized experiment."""
-
-    p: int
-    n: int
-    r: int | None = None
-    q: float | None = None
-    trials: int = 1
-    seed: int = 0
-    sigma: float | None = None
-    delta: float | None = None
-    alpha: float | None = None
-    eps: float | None = None
-    generator: str = GENERATOR_ID
-
-    def space(self) -> SpaceDescriptor:
-        return SpaceDescriptor(self.p, self.n)
-
-    def __post_init__(self):
-        space = SpaceDescriptor(self.p, self.n)
-        if self.r is not None and not 0 <= self.r <= space.N:
-            raise InputError(f"r must lie in [0, N = {space.N}], got {self.r}")
-        if self.q is not None and not 0 <= self.q <= 1:
-            raise InputError(f"q must lie in [0, 1], got {self.q}")
-        if self.trials < 1:
-            raise InputError("trials must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +284,18 @@ class KLRReport:
     u: int
 
 
+def _pool(u: int, blocked, side: str) -> np.ndarray:
+    """The positions 0 <= i < u that the adversary left open, ascending."""
+    blocked = np.asarray(blocked, dtype=np.int64)
+    if len(blocked) > u / 2:
+        raise ContractError(f"adversary chose |{side}| = {len(blocked)} > u/2")
+    if blocked.size and (blocked.min() < 0 or blocked.max() >= u):
+        raise ContractError(f"adversary blocked a position outside [0, {u}) in {side}")
+    keep = np.ones(u, dtype=bool)
+    keep[blocked] = False
+    return np.flatnonzero(keep)
+
+
 def mc_klr11(graph, t1: int, t2: int, adversary, trials: int, seed: int) -> KLRReport:
     """Simulate the two-round adversarial (t1, t2)-subgraph sampling and
     return the frequency with which T1 x T2 spans no edge.
@@ -326,21 +309,12 @@ def mc_klr11(graph, t1: int, t2: int, adversary, trials: int, seed: int) -> KLRR
         raise InputError("trials must be >= 1")
     if not (1 <= t1 < u / 2 and 1 <= t2 < u / 2):
         raise InputError(f"need 1 <= t1, t2 < u/2 = {u / 2}")
-    every = np.arange(u, dtype=np.int64)
 
     failures = 0
     for trial in range(trials):
         gen = substream(seed, trial)
-        s1 = np.asarray(adversary.select_s1(graph), dtype=np.int64)
-        if len(s1) > u / 2:
-            raise ContractError(f"adversary chose |S1| = {len(s1)} > u/2")
-        pool1 = np.setdiff1d(every, s1, assume_unique=False)
-        T1 = sample_without_replacement(gen, pool1, t1)
-        s2 = np.asarray(adversary.select_s2(graph, T1), dtype=np.int64)
-        if len(s2) > u / 2:
-            raise ContractError(f"adversary chose |S2| = {len(s2)} > u/2")
-        pool2 = np.setdiff1d(every, s2, assume_unique=False)
-        T2 = sample_without_replacement(gen, pool2, t2)
+        T1 = sample_without_replacement(gen, _pool(u, adversary.select_s1(graph), "S1"), t1)
+        T2 = sample_without_replacement(gen, _pool(u, adversary.select_s2(graph, T1), "S2"), t2)
         if not graph.any_edge(T1, T2):
             failures += 1
     name = getattr(adversary, "name", type(adversary).__name__)

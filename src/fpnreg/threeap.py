@@ -318,7 +318,6 @@ def flower_find(
     eps: float,
     alpha: float,
     floor: int = 1,
-    seed: int = 0,
 ) -> FlowerSearchReport:
     """Search for the maximum-petal flower in the canonical m-part split of A.
 

@@ -190,6 +190,21 @@ def localized_counts_oracle(A: DenseSubset, H: SubspaceBasis, reps) -> np.ndarra
     return np.array([int(A.mask[space.sub(elems, int(v))].sum()) for v in reps], dtype=np.int64)
 
 
+def petal_graph_oracle(A: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
+    """(left, right, adjacency) of the midpoint graph on (H - v1, H - v2):
+    the sorted elements of H shifted by -v1 and -v2, and for every pair the
+    membership in A of (u1 + u2) / 2, each point decoded, added, halved and
+    encoded."""
+    space = H.space
+    p = space.p
+    hd = space.digits(H.elements())
+    left = space.index((hd - space.digits(v1)) % p)
+    right = space.index((hd - space.digits(v2)) % p)
+    ld, rd = space.digits(left), space.digits(right)
+    mid = space.index(space.inv2 * (ld[:, None, :] + rd[None, :, :]) % p)
+    return left, right, A.mask[mid]
+
+
 def petal_search_oracle(report, alpha: float):
     """The flower stages after the joint regularization, redone literally.
 

@@ -326,7 +326,7 @@ def crit15_flower_validator():
         members = R.members()
         pick = np.sort(gen.choice(len(members), size=int(0.5 * R.card), replace=False))
         A = DenseSubset.from_members(sp36, members[pick])
-        rep = flower_find(A, 3, 0.3, 0.5, 1, seed)
+        rep = flower_find(A, 3, 0.3, 0.5, 1)
         if rep.found:
             found += 1
             if validate_flower(rep.flower, A):

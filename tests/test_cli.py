@@ -193,7 +193,7 @@ class TestSubcommands:
         _, out, _ = run(
             capsys,
             ["flower-find", "--set", str(path), "--m", "3", "--eps", "0.4",
-             "--alpha", "1.0", "--seed", "7"],
+             "--alpha", "1.0"],
         )
         rep = json.loads(out)["result"]
         assert rep["found"] is True

@@ -3,13 +3,15 @@
 Coset ids, representatives, the localization gather, localized counts and
 the dual representatives are linear digit formulas in the library; the
 oracles in helpers decode every point instead.  The flower petal search is
-checked against a literal nested loop over (i0, j0, k0, center, petal).
+checked against a literal nested loop over (i0, j0, k0, center, petal), and
+the midpoint petal graph against decoded midpoints of every pair.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from fpnreg.cayley import petal_graph
 from fpnreg.fourier import _dual_data
 from fpnreg.regularity import localized_counts, restricted_sup
 from fpnreg.threeap import flower_find
@@ -22,6 +24,7 @@ from helpers import (
     coset_system_oracle,
     localization_rows_oracle,
     localized_counts_oracle,
+    petal_graph_oracle,
     petal_search_oracle,
 )
 
@@ -187,3 +190,39 @@ def test_flower_find_tie_break_matches_nested_loop():
     A = coset_union(space, 1, gen)
     report = flower_find(A, 3, 0.3, 0.5)
     assert check_against_oracle(report, 0.5) > 1
+
+
+# ---------------------------------------------------------------------------
+# Midpoint petal graph
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(**cases, density=st.sampled_from([0.0, 0.3, 1.0]))
+@example(n=1, dim=0, seed=0, density=0.3)  # n = 1, zero subspace
+@example(n=1, dim=1, seed=0, density=0.3)  # n = 1, full space
+@example(n=3, dim=0, seed=1, density=0.3)  # zero subspace
+@example(n=3, dim=6, seed=1, density=0.3)  # full space
+def test_petal_graph_matches_codec(p, n, dim, seed, density):
+    space, H, gen = draw_case(p, n, dim, seed)
+    A = DenseSubset(space, gen.random(space.N) < density)
+    v1, v2 = (int(v) for v in gen.integers(0, space.N, size=2))
+    left, right, adj = petal_graph_oracle(A, H, v1, v2)
+    pg = petal_graph(A, H, v1, v2)
+    u = pg.u
+    assert np.array_equal(pg.left_points(), left)
+    assert np.array_equal(pg.right_points(), right)
+    lpos = gen.integers(0, u, size=int(gen.integers(1, u + 1)))
+    rpos = gen.integers(0, u, size=int(gen.integers(1, u + 1)))
+    sub = adj[np.ix_(lpos, rpos)]
+    assert np.array_equal(pg._edge_block(lpos, rpos), sub)
+    assert pg.edges_between(lpos, rpos) == int(sub.sum())
+    assert pg.any_edge(lpos, rpos) == bool(sub.any())
+    none = np.empty(0, dtype=np.int64)
+    assert pg.edges_between(none, rpos) == pg.edges_between(lpos, none) == 0
+    assert not pg.any_edge(none, rpos) and not pg.any_edge(lpos, none)
+    assert np.array_equal(pg.left_degrees(), adj.sum(axis=1))
+    assert np.array_equal(pg.right_degrees_into(lpos), adj[lpos].sum(axis=0))
+    assert np.array_equal(pg.right_degrees_into(none), np.zeros(u, dtype=np.int64))
+    assert pg.edge_count() == int(adj.sum())
+    assert pg.density() == int(adj.sum()) / u**2

@@ -9,7 +9,6 @@ from fpnreg.randmodel import (
     CompleteBipartite,
     EmptyBipartite,
     GreedyAdversary,
-    TrialConfig,
     TrivialAdversary,
     TailBoundInputs,
     chernoff_bound,
@@ -63,8 +62,6 @@ class TestSamplers:
             cs = sample_coupled(SP34, 40, sigma, seed)
             assert cs.subset.card == 40
             assert cs.r2_size <= bound
-        cfg = TrialConfig(p=3, n=4, r=40, seed=1, sigma=sigma)
-        assert cfg.space() == SP34
 
 
 class TestFourierSup:
@@ -195,6 +192,20 @@ class TestKlr11:
 
         with pytest.raises(ContractError):
             mc_klr11(CompleteBipartite(10), 1, 1, Cheater(), 5, 1)
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    @pytest.mark.parametrize("side", ["s1", "s2"])
+    def test_adversary_blocks_in_range(self, bad, side):
+        # a negative position would wrap in a mask and block position u - 1
+        class OutOfRange:
+            def select_s1(self, graph):
+                return np.array([bad] if side == "s1" else [], dtype=np.int64)
+
+            def select_s2(self, graph, t1):
+                return np.array([bad] if side == "s2" else [], dtype=np.int64)
+
+        with pytest.raises(ContractError):
+            mc_klr11(CompleteBipartite(10), 1, 1, OutOfRange(), 5, 1)
 
     def test_rejects_big_t(self):
         with pytest.raises(InputError):

@@ -214,7 +214,7 @@ class TestPetalCandidates:
 class TestFlowerFind:
     def test_full_set_has_flower(self):
         sp33 = SpaceDescriptor(3, 3)
-        rep = flower_find(DenseSubset.full(sp33), 3, 0.4, 1.0, 1, 7)
+        rep = flower_find(DenseSubset.full(sp33), 3, 0.4, 1.0, 1)
         assert rep.found
         assert rep.flower.petal_count >= 1
         assert validate_flower(rep.flower, DenseSubset.full(sp33)) == []
@@ -227,12 +227,12 @@ class TestFlowerFind:
         quot = [cs.reps[0], cs.reps[1], cs.reps[3]]
         members = np.concatenate([sp33.add(H1.elements(), int(v)) for v in quot])
         A = DenseSubset.from_members(sp33, members)
-        rep = flower_find(A, 3, 0.2, 1.0, 1, 7)
+        rep = flower_find(A, 3, 0.2, 1.0, 1)
         assert not rep.found and rep.failure_stage == "no_cross_part_3aps"
 
     def test_requires_three_parts(self):
         with pytest.raises(InputError):
-            flower_find(DenseSubset.full(SP32), 2, 0.3, 0.5, 1, 1)
+            flower_find(DenseSubset.full(SP32), 2, 0.3, 0.5, 1)
 
     def test_found_rate_calibrated(self):
         # eps = 0.15 drives refinement deep enough that candidates abound;
@@ -241,7 +241,7 @@ class TestFlowerFind:
         validated = 0
         for seed in range(20):
             A = _half_of_half_instance(seed)
-            rep = flower_find(A, 3, 0.15, 0.5, 1, seed)
+            rep = flower_find(A, 3, 0.15, 0.5, 1)
             if rep.found:
                 found += 1
                 if validate_flower(rep.flower, A) == []:
@@ -250,13 +250,13 @@ class TestFlowerFind:
         assert validated == found
 
     def test_failure_reports_are_data(self):
-        rep = flower_find(DenseSubset.from_members(SP36, [0, 1, 2]), 3, 0.3, 0.5, 1, 1)
+        rep = flower_find(DenseSubset.from_members(SP36, [0, 1, 2]), 3, 0.3, 0.5, 1)
         assert not rep.found
         assert rep.failure_stage in {"no_regular_subspace", "empty_petal_candidates", "no_cross_part_3aps"}
 
     def test_serialization_round_trip(self):
         sp33 = SpaceDescriptor(3, 3)
-        rep = flower_find(DenseSubset.full(sp33), 3, 0.4, 1.0, 1, 7)
+        rep = flower_find(DenseSubset.full(sp33), 3, 0.4, 1.0, 1)
         f = rep.flower
         back = flower_from_dict(flower_to_dict(f))
         assert back.H == f.H and back.center == f.center and back.petals == f.petals
@@ -265,8 +265,8 @@ class TestFlowerFind:
 
     def test_deterministic(self):
         A = _half_of_half_instance(3)
-        r1 = flower_find(A, 3, 0.15, 0.5, 1, 3)
-        r2 = flower_find(A, 3, 0.15, 0.5, 1, 3)
+        r1 = flower_find(A, 3, 0.15, 0.5, 1)
+        r2 = flower_find(A, 3, 0.15, 0.5, 1)
         assert r1.found == r2.found
         if r1.found:
             assert r1.flower.petals == r2.flower.petals
