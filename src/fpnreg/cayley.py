@@ -97,13 +97,15 @@ def edge_count_direct(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> int:
 
 def edge_count_fourier(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> float:
     """Spectral edge count N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); equals
-    the direct count up to round-off (Y is real, so Yhat(-xi) = conj(Yhat(xi)))."""
+    the direct count up to round-off.  All three sets are real, so the term
+    of -xi is the conjugate of the term of xi: the sum is the top-digit-0
+    plane of the stored halves plus 2 Re of the rest."""
     space = same_space(A, X, Y)
-    ahat = full_spectrum(space, A.mask)
-    xhat = full_spectrum(space, X.mask)
-    yhat = full_spectrum(space, Y.mask)
-    total = (ahat * xhat * yhat.conj()).sum() * space.N**2
-    return float(total.real)
+    terms = full_spectrum(space, A.mask) * full_spectrum(space, X.mask)
+    terms *= full_spectrum(space, Y.mask).conj()
+    plane = space.N // space.p
+    total = terms[:plane].sum().real + 2 * terms[plane:].sum().real
+    return float(total) * space.N**2
 
 
 def edge_count(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> int:
@@ -145,7 +147,7 @@ def sigma_certificate(R: DenseSubset, sigma: float, delta: float) -> RegularityC
     if not 0 < sigma < 1 or not 0 < delta < 1:
         raise InputError("sigma and delta must lie in (0, 1)")
     space = R.space
-    spec = full_spectrum(space, R.mask)
+    spec = full_spectrum(space, R.mask)  # |Rhat(-xi)| = |Rhat(xi)|, so the half holds the sup
     sup = float(np.abs(spec[1:]).max()) if space.N > 1 else 0.0
     passed = sup <= delta * sigma * R.card / space.N
     return RegularityCertificate(sigma, delta, sup, passed, R.card, space.N)

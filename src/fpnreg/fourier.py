@@ -5,8 +5,22 @@ with e(z) = exp(2 pi i z).  Characters of H are the quotient V/H^perp, so a
 spectrum carries one entry per canonical coset representative of V/H^perp
 (|H| entries); the entry value depends on xi only through its coset.
 
-Transforms run as dim(H) sequential length-p passes over the coefficient
-tensor of H, O(|H| dim p) per call.
+Every transform runs through one pass loop, _pass_loop, over the C-order
+(p,)*dim + (B,) tensor: dim coefficient axes, leading digit first, then a
+trailing batch axis of B independent inputs.  A pass is one 2-D GEMM,
+src.reshape(p, M).T @ W written into a (M, p) buffer: it transforms the
+leading axis and rotates it to the end.  After dim passes the frequency
+axes are back in order behind the batch axis, so the result is (B, p**dim)
+with no transpose copy, O(|H| dim p) per input.  The passes alternate
+between two buffers the call allocates.
+
+The loop has two entries.  The complex entry (_multi_dft: dft, idft,
+Spectrum) keeps full spectra.  The real entry serves indicator functions,
+whose spectra satisfy fhat(-xi) = conj(fhat(xi)): its first pass is a real
+GEMM that keeps only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it
+stores the first (p+1)/2 * p**(dim-1) flat entries, and every other
+frequency has its negation stored.  full_spectrum, the per-coset scan in
+regularity and the counts built on them read sums and sups from that half.
 """
 
 from __future__ import annotations
@@ -33,28 +47,57 @@ ROUNDING_MARGIN = 0.25
 
 @lru_cache(maxsize=None)
 def _root_matrix(p: int) -> np.ndarray:
-    """W[a, b] = exp(-2 pi i a b / p), from one high-accuracy primitive root."""
+    """W[a, b] = exp(-2 pi i a b / p), from one high-accuracy primitive root.
+    W is symmetric, so it is its own transpose in the passes."""
     k = np.arange(p)
     w = np.exp(-2j * np.pi * (np.outer(k, k) % p) / p)
     w.flags.writeable = False
     return w
 
 
-def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.ndarray:
-    """Length-p DFT along every axis of the (p,)*dim coefficient tensor.
+def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = False) -> np.ndarray:
+    """Length-p DFT along the dim leading axes of the (p,)*dim + (B,) tensor x.
 
-    The last axis of vec holds the p**dim coefficients; leading axes are a
-    batch (one row per coset in the regularity scan) and pass through.
+    Returns (B, p**dim) complex, or with real=True (real x) the
+    (B, (p+1)/2 * p**(dim-1)) stored half.  inverse conjugates W.
     """
-    vec = np.asarray(vec, dtype=complex)
+    x = np.asarray(x)
+    batch = x.size // p**dim
+    if dim == 0:
+        return x.astype(complex).reshape(batch, 1)
+    w = _root_matrix(p).conj() if inverse else _root_matrix(p)
+    rows = x.size // p
+    if real:
+        # W's first (p+1)/2 columns with each complex column split into a
+        # real and an imaginary one: a real GEMM writes complex entries into
+        # the float view of the buffer
+        q = (p + 1) // 2
+        first_w = np.ascontiguousarray(w[:, :q]).view(np.float64)
+        src = np.asarray(x, dtype=np.float64)
+    else:
+        q, first_w = p, w
+        src = np.asarray(x, dtype=complex)
+    out = np.empty(rows * q, dtype=complex)
+    dst = out.view(np.float64) if real else out
+    np.matmul(src.reshape(p, rows).T, first_w, out=dst.reshape(rows, -1))
+    del src  # a converted copy of x is not needed past the first pass
+    spare = np.empty_like(out) if dim > 1 else None
+    rows = out.size // p
+    for _ in range(1, dim):
+        np.matmul(out.reshape(p, rows).T, w, out=spare.reshape(rows, p))
+        out, spare = spare, out
+    return out.reshape(batch, -1)
+
+
+def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.ndarray:
+    """Full complex DFT of the last axis of vec, the p**dim coefficients of
+    the (p,)*dim tensor; leading axes are a batch and pass through."""
+    vec = np.asarray(vec)
     lead = vec.shape[:-1]
-    t = vec.reshape(lead + (p,) * dim)
-    w = _root_matrix(p)
-    if inverse:
-        w = w.conj()
-    for ax in range(len(lead), len(lead) + dim):
-        t = np.moveaxis(np.tensordot(w, t, axes=(1, ax)), 0, ax)
-    return t.reshape(lead + (-1,))
+    if lead:
+        # the pass loop wants the batch trailing
+        vec = np.ascontiguousarray(vec.reshape(-1, p**dim).T, dtype=complex)
+    return _pass_loop(vec, p, dim, real=False, inverse=inverse).reshape(lead + (-1,))
 
 
 def _dual_data(H: SubspaceBasis):
@@ -282,10 +325,16 @@ def rep_for_eta(H: SubspaceBasis) -> np.ndarray:
 
 
 def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
-    """Full-group transform with flat-index alignment on both sides:
-    out[xi] = (1/N) sum_x values[x] e(-<x,xi>/p).  The flat ordering of the
-    coefficient tensor pairs point digits with frequency digits directly."""
-    return _multi_dft(np.asarray(values, dtype=np.float64), space.p, space.n) / space.N
+    """Half of the full-group transform of real values, flat-aligned:
+    out[xi] = (1/N) sum_x values[x] e(-<x,xi>/p) for the (p+1)/2 * p**(n-1)
+    frequencies xi < len(out), those whose top digit xi_(n-1) is at most
+    (p-1)/2.  Every other xi has its negation stored, and
+    Ahat(xi) = conj(out[-xi]).  The top-digit-0 plane out[:N/p] is closed
+    under negation; each of the other stored planes stands for itself and
+    its conjugate."""
+    out = _pass_loop(np.asarray(values), space.p, space.n, real=True).reshape(-1)
+    out /= space.N
+    return out
 
 
 def rounded_count(total: float, what: str) -> int:

@@ -19,7 +19,7 @@ from .errors import ContractError, InputError
 from .fourier import full_spectrum
 from .rng import sample_without_replacement, substream
 from .threeap import DensityTestReport, density_test
-from .vectorspace import DenseSubset, SpaceDescriptor, _check_index
+from .vectorspace import DenseSubset, SpaceDescriptor, _check_index, _flatten, _linear_form
 
 _COUPLING_ATTEMPTS = 1000
 
@@ -99,7 +99,7 @@ def fourier_sup_report(R: DenseSubset) -> FourierSupReport:
     space = R.space
     if R.card == 0:
         raise InputError("R must be nonempty")
-    spec = full_spectrum(space, R.mask)
+    spec = full_spectrum(space, R.mask)  # |Rhat(-xi)| = |Rhat(xi)|: the stored half holds the sup
     sup = float(np.abs(spec[1:]).max())
     bound = R.card / (space.N * math.log(space.N))
     return FourierSupReport(sup, bound, sup < bound)
@@ -186,7 +186,8 @@ def empirical_tail(
     xi = int(_check_index(space, xi))
     if xi == 0:
         raise InputError("xi must be nonzero (the mean is not centered at xi = 0)")
-    phases = space.pair(np.arange(space.N, dtype=np.int64), xi)
+    # <x, xi> for every flat x, as a broadcast linear form in the digits of x
+    phases = _flatten(_linear_form(space.p, space.digits(xi)), space.p, space.n)
     cosines = np.cos(2 * np.pi * phases / space.p)
 
     hits = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InputError
-from .fourier import _multi_dft, rep_for_eta
+from .fourier import _pass_loop, rep_for_eta
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
@@ -32,6 +32,10 @@ from .vectorspace import (
 ENERGY_TOL = 1e-9
 
 _SCAN_BLOCK = 1 << 20
+
+# Spectrum magnitudes (normalized by |H|) this close to the per-coset sup
+# count as tied maximizers; round-off is about 1e-16 of them.
+_TIE_MARGIN = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +71,37 @@ def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
     vec = A.mask[H.coset_system().localization_row(v)]
     if H.size == 1:
         return 0.0
-    spec = _multi_dft(vec, H.space.p, H.dim) / H.size
-    return float(np.abs(spec[1:]).max())
+    spec = _pass_loop(vec, H.space.p, H.dim, real=True)[0]
+    return float(np.abs(spec[1:]).max()) / H.size
+
+
+def _witness_table(H: SubspaceBasis) -> np.ndarray:
+    """For each stored eta of the half spectrum (top coefficient digit at most
+    (p-1)/2), the smaller canonical dual rep of the cosets of eta and -eta;
+    |fhat| is equal on the two, so both are tied maximizers together."""
+    if "witness_table" not in H._cache:
+        p, d = H.space.p, H.dim
+        xi_of_eta = rep_for_eta(H)
+        table = np.minimum(xi_of_eta, xi_of_eta[_dilate(np.arange(H.size), p, d, -1)])
+        table = table[: (p + 1) // 2 * p ** (d - 1)]
+        table.flags.writeable = False
+        H._cache["witness_table"] = table
+    return H._cache["witness_table"]
 
 
 def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClassification:
     """Classify every coset representative of V/H as regular or irregular.
 
-    Regularity is coset-invariant, so scanning representatives covers V; the
-    witness frequency per irregular coset is the maximizer, ties broken by
-    minimal flat index.  The localizations come from the coset system's
-    gather, one block of about _SCAN_BLOCK points at a time.
+    Regularity is coset-invariant, so scanning representatives covers V.
+    The localizations come from the coset system's gather, one block of
+    about _SCAN_BLOCK points at a time, gathered transposed so the cosets
+    are the trailing batch axis of one real-entry transform.  Sups and
+    witnesses are read from the stored half spectrum (|fhat(-eta)| =
+    |fhat(eta)|).  The witness per irregular coset is the minimal flat
+    index among the maximizers, where an entry ties with the sup when its
+    |H|-normalized magnitude is within _TIE_MARGIN of it and above the
+    threshold: exactly tied frequencies, such as every nontrivial one of a
+    one-point localization, then do not depend on round-off.
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -90,21 +114,22 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
     sups = np.zeros(K)
     counts = np.zeros(K, dtype=np.int64)
     witnesses = np.full(K, -1, dtype=np.int64)
-    xi_of_eta = rep_for_eta(H)
     no_tie = np.iinfo(np.int64).max
 
     block = max(1, _SCAN_BLOCK // max(H.size, 1))
     for lo in range(0, K, block):
         hi = min(lo + block, K)
-        vecs = A.mask[cs.localization_gather(lo, hi)]
-        counts[lo:hi] = vecs.sum(axis=1)
+        vecs = A.mask[cs.localization_gather(lo, hi).T]
+        counts[lo:hi] = vecs.sum(axis=0)
         if H.size > 1:
-            spec = np.abs(_multi_dft(vecs, space.p, H.dim) / H.size)
-            sups[lo:hi] = spec[:, 1:].max(axis=1)
+            spec = np.abs(_pass_loop(vecs, space.p, H.dim, real=True)[:, 1:])
+            spec /= H.size
+            sups[lo:hi] = spec.max(axis=1)
             irr = np.flatnonzero(sups[lo:hi] > threshold)
             if irr.size:
-                ties = spec[irr, 1:] == sups[lo + irr, None]
-                witnesses[lo + irr] = np.where(ties, xi_of_eta[1:], no_tie).min(axis=1)
+                top = spec[irr]
+                ties = (top >= sups[lo + irr, None] - _TIE_MARGIN) & (top > threshold)
+                witnesses[lo + irr] = np.where(ties, _witness_table(H)[1:], no_tie).min(axis=1)
 
     regular = sups <= threshold
     irregular_mass = int((~regular).sum()) * H.size

@@ -24,7 +24,7 @@ from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
-    dilate,
+    _dilate,
     same_space,
 )
 
@@ -73,13 +73,26 @@ def count_3aps_fourier(A: DenseSubset) -> int:
     """Spectral count N^2 sum_xi conj(Ahat(xi))^2 Ahat(2xi) (trivial pairs
     included), rounded to the nearest integer.
 
-    A is real, so Ahat(-xi) = conj(Ahat(xi)); raises ContractError when the
-    total is not within ROUNDING_MARGIN of an integer.
+    A is real, so Ahat(-xi) = conj(Ahat(xi)) and the term of -xi is the
+    conjugate of the term of xi: the sum is the top-digit-0 plane of the
+    stored half plus 2 Re of its other planes.  Plane t pairs with plane
+    2t mod p for Ahat(2xi), read as the conj of the stored plane p - 2t when
+    2t mod p is not stored.  Raises ContractError when the total is not
+    within ROUNDING_MARGIN of an integer.
     """
     space = A.space
-    ahat = full_spectrum(space, A.mask)
-    total = (ahat.conj() ** 2 * dilate(space, ahat, 2)).sum() * float(space.N) ** 2
-    return rounded_count(float(total.real), "3AP count")
+    p, n = space.p, space.n
+    planes = full_spectrum(space, A.mask).reshape((p + 1) // 2, -1)
+    total = 0.0
+    for t, plane in enumerate(planes):
+        s = 2 * t % p
+        if s < len(planes):
+            dbl = _dilate(planes[s], p, n - 1, 2)
+        else:
+            dbl = _dilate(planes[p - s], p, n - 1, -2).conj()
+        term = float((plane.conj() ** 2 * dbl).sum().real)
+        total += term if t == 0 else 2 * term
+    return rounded_count(total * float(space.N) ** 2, "3AP count")
 
 
 def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:

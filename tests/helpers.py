@@ -190,6 +190,34 @@ def localized_counts_oracle(A: DenseSubset, H: SubspaceBasis, reps) -> np.ndarra
     return np.array([int(A.mask[space.sub(elems, int(v))].sum()) for v in reps], dtype=np.int64)
 
 
+def classify_oracle(A: DenseSubset, H: SubspaceBasis, eps: float, margin: float):
+    """(reps, counts, sups, witnesses) of the per-coset scan from character
+    sums: fhat(xi) = (1/|H|) sum_{x in H} 1_A(x - v) e(-<x, xi>/p) for every
+    coset rep v and one xi per character of H, the smallest xi with that
+    character.  The witness of an irregular coset is the smallest xi whose
+    magnitude is within margin of the sup and above the threshold."""
+    space = A.space
+    p = space.p
+    reps, _ = coset_system_oracle(H)
+    elems = H.elements()
+    every = space.digits(np.arange(space.N, dtype=np.int64))
+    character = (every @ H.rows.T % p) @ p ** np.arange(H.dim, dtype=np.int64)
+    _, first = np.unique(character, return_index=True)
+    xis = np.sort(first)
+    phases = (space.digits(elems) @ space.digits(xis).T) % p
+    chars = np.exp(-2j * np.pi * phases / p)
+    local = np.array([A.mask[space.sub(elems, int(v))] for v in reps], dtype=np.float64)
+    mags = np.abs(local @ chars) / H.size
+    counts = local.sum(axis=1).astype(np.int64)
+    sups = mags[:, 1:].max(axis=1) if H.size > 1 else np.zeros(len(reps))
+    threshold = eps * A.card / space.N
+    witnesses = np.full(len(reps), -1, dtype=np.int64)
+    for k in np.flatnonzero(sups > threshold):
+        ties = (mags[k, 1:] >= sups[k] - margin) & (mags[k, 1:] > threshold)
+        witnesses[k] = xis[1:][ties].min()
+    return reps, counts, sups, witnesses
+
+
 def petal_graph_oracle(A: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
     """(left, right, adjacency) of the midpoint graph on (H - v1, H - v2):
     the sorted elements of H shifted by -v1 and -v2, and for every pair the

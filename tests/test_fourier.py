@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpnreg.errors import InputError
 from fpnreg.fourier import (
     DenseFunction,
     _multi_dft,
+    _pass_loop,
     Spectrum,
     convolve,
     dft,
@@ -86,7 +87,9 @@ class TestDft:
         flat = full_spectrum(SP33, f.values)
         s = dft(f, SubspaceBasis.full(SP33))
         for xi in range(27):
-            assert abs(flat[xi] - s.value_at(xi)) < 1e-12
+            neg = int(SP33.neg(xi))
+            stored = flat[xi] if xi < len(flat) else flat[neg].conj()
+            assert abs(stored - s.value_at(xi)) < 1e-12
 
     def test_batch_axis_transforms_each_row(self):
         gen = np.random.default_rng(5)
@@ -96,6 +99,73 @@ class TestDft:
             single = np.stack([_multi_dft(r, 5, 3, inverse=inverse) for r in rows])
             assert batched.shape == (4, 5**3)
             assert np.abs(batched - single).max() < 1e-12
+
+
+class TestPassLoop:
+    """The pass loop against np.fft.fftn over the (p,)*dim + (B,) tensor."""
+
+    @staticmethod
+    def reference(x, dim, inverse=False):
+        fft = np.fft.ifftn if inverse else np.fft.fftn
+        out = fft(x, axes=tuple(range(dim))) * (x.size // x.shape[-1] if inverse else 1)
+        return np.moveaxis(out, -1, 0).reshape(x.shape[-1], -1)
+
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13]),
+        st.integers(0, 4),
+        st.integers(1, 6),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(p=3, dim=0, batch=4, real=True, seed=0)
+    @example(p=7, dim=1, batch=1, real=True, seed=1)
+    @example(p=13, dim=1, batch=3, real=False, seed=2)
+    def test_matches_fftn(self, p, dim, batch, real, seed):
+        if p**dim * batch > 60_000:
+            dim -= 1
+        gen = np.random.default_rng(seed)
+        x = gen.uniform(-1, 1, size=(p,) * dim + (batch,))
+        want = self.reference(x, dim)
+        got = _pass_loop(x, p, dim, real=real)
+        stored = (p + 1) // 2 * p ** (dim - 1) if dim else 1
+        assert got.shape == (batch, stored if real else p**dim)
+        assert np.abs(got - want[:, : got.shape[1]]).max(initial=0) < 1e-9
+        z = x if real else x + 1j * gen.uniform(-1, 1, size=x.shape)
+        back = _pass_loop(z, p, dim, real=real, inverse=True)
+        assert np.abs(back - self.reference(z, dim, inverse=True)[:, : back.shape[1]]).max() < 1e-9
+
+    def test_bool_input_is_a_real_entry(self):
+        gen = np.random.default_rng(7)
+        mask = gen.random((5,) * 3 + (2,)) < 0.5
+        got = _pass_loop(mask, 5, 3, real=True)
+        assert np.abs(got - self.reference(mask.astype(float), 3)[:, :75]).max() < 1e-9
+
+    def test_no_aliasing_across_calls(self):
+        gen = np.random.default_rng(8)
+        shapes = [(3, 4, 2, True), (5, 2, 3, False), (3, 4, 2, True), (7, 1, 1, True), (5, 2, 3, False)]
+        inputs = {s: gen.uniform(-1, 1, size=s[0] ** s[1] * s[2]) for s in set(shapes)}
+        outs = []
+        for p, dim, batch, real in shapes:
+            x = inputs[p, dim, batch, real]
+            before = x.copy()
+            outs.append(_pass_loop(x, p, dim, real=real))
+            assert np.array_equal(x, before)
+            assert not np.shares_memory(outs[-1], x)
+        assert np.array_equal(outs[0], outs[2]) and np.array_equal(outs[1], outs[4])
+        for i in range(len(outs)):
+            for j in range(i):
+                assert not np.shares_memory(outs[i], outs[j])
+
+    def test_full_spectrum_stores_the_leading_half(self):
+        gen = np.random.default_rng(9)
+        for p, n in [(3, 1), (5, 1), (3, 4), (7, 3), (13, 2)]:
+            space = SpaceDescriptor(p, n)
+            mask = gen.random(space.N) < 0.4
+            flat = full_spectrum(space, mask)
+            want = np.fft.fftn(mask.reshape((p,) * n).astype(float)).reshape(-1) / space.N
+            assert len(flat) == (p + 1) // 2 * p ** (n - 1)
+            assert np.abs(flat - want[: len(flat)]).max() < 1e-12
 
 
 class TestSpectrum:

@@ -21,7 +21,10 @@ from fpnreg.randmodel import (
     sample_coupled,
     sample_exact,
 )
+from fpnreg.rng import substream
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
+
+from helpers import PRIMES
 
 SP32 = SpaceDescriptor(3, 2)
 SP34 = SpaceDescriptor(3, 4)
@@ -139,6 +142,19 @@ class TestEmpiricalTail:
     def test_rejects_zero_frequency_vector(self):
         with pytest.raises(InputError):
             empirical_tail(SP38, 0.05, 5.0, 0, 10, 7)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_codec_phases(self, p):
+        # the frequency recounted with <x, xi> from the digit codec
+        space = SpaceDescriptor(p, 3)
+        gen = np.random.default_rng(p)
+        q, trials = 0.3, 50
+        for xi in (1, space.N - 1, int(gen.integers(1, space.N))):
+            cosines = np.cos(2 * np.pi * space.pair(np.arange(space.N), xi) / p)
+            sums = [float(cosines[substream(5, t).random(space.N) < q].sum()) for t in range(trials)]
+            lam = float(np.median(sums))
+            rep = empirical_tail(space, q, lam, xi, trials, 5)
+            assert rep.frequency == sum(x >= lam for x in sums) / trials
 
 
 class TestKlr11:

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from fpnreg import regularity
 
 from fpnreg.errors import ContractError, InputError
 from fpnreg.fourier import DenseFunction, dft
@@ -16,7 +20,7 @@ from fpnreg.regularity import (
 )
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localize
 
-from helpers import random_subset, random_subspace
+from helpers import PRIMES, classify_oracle, random_subset, random_subspace
 
 SP32 = SpaceDescriptor(3, 2)
 SP34 = SpaceDescriptor(3, 4)
@@ -79,6 +83,99 @@ class TestClassify:
         cls = classify_vectors(A, H, 0.3)
         for k in range(min(5, len(cls.reps))):
             assert cls.counts[k] == localize(A, H, int(cls.reps[k])).card
+
+
+class TestScanAgainstCharacterSums:
+    """classify_vectors against classify_oracle, with the scan cut into
+    blocks of one coset, of a few cosets, and of every coset."""
+
+    @given(st.sampled_from([(3, 5), (5, 3), (7, 3), (11, 2), (13, 2)]), st.integers(0, 10**6), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    @example(shape=(3, 4), seed=0, block_kind=0)
+    @example(shape=(5, 1), seed=1, block_kind=1)
+    def test_matches_oracle(self, shape, seed, block_kind):
+        gen = np.random.default_rng(seed)
+        space = SpaceDescriptor(*shape)
+        A = random_subset(space, gen)
+        H = random_subspace(space, gen)
+        eps = float(gen.uniform(0.05, 0.9))
+        block = (1, 3 * H.size + 1, regularity._SCAN_BLOCK)[block_kind]
+        with mock.patch.object(regularity, "_SCAN_BLOCK", block):
+            cls = classify_vectors(A, H, eps)
+        reps, counts, sups, witnesses = classify_oracle(A, H, eps, regularity._TIE_MARGIN)
+        assert np.array_equal(cls.reps, reps)
+        assert np.array_equal(cls.counts, counts)
+        assert np.abs(cls.sup_values - sups).max() < 1e-12
+        assert np.array_equal(cls.witness_freqs, witnesses)
+
+    def test_zero_and_line_subspaces(self):
+        gen = np.random.default_rng(3)
+        for p in PRIMES:
+            space = SpaceDescriptor(p, 2)
+            A = random_subset(space, gen)
+            for H in (SubspaceBasis.zero(space), SubspaceBasis.from_rows(space, [[1, 1]])):
+                cls = classify_vectors(A, H, 0.3)
+                reps, counts, sups, witnesses = classify_oracle(A, H, 0.3, regularity._TIE_MARGIN)
+                assert np.array_equal(cls.counts, counts)
+                assert np.abs(cls.sup_values - sups).max(initial=0) < 1e-12
+                assert np.array_equal(cls.witness_freqs, witnesses)
+
+
+class TestWitnessTies:
+    """Exactly tied maximizers pick the minimal flat index whatever the
+    round-off: the transforms are perturbed entry by entry by 1 +- 4e-16."""
+
+    @staticmethod
+    def classify_perturbed(A, H, eps, sign):
+        exact = regularity._pass_loop
+
+        def wobbly(*args, **kwargs):
+            out = exact(*args, **kwargs)
+            wobble = 1 + sign * 4e-16 * (-1.0) ** np.arange(out.shape[-1])
+            return out * wobble
+
+        with mock.patch.object(regularity, "_pass_loop", wobbly):
+            return classify_vectors(A, H, eps)
+
+    def witnesses(self, A, H, eps):
+        runs = [self.classify_perturbed(A, H, eps, sign) for sign in (0, 1, -1)]
+        for run in runs[1:]:
+            assert np.array_equal(run.witness_freqs, runs[0].witness_freqs)
+        return runs[0].witness_freqs
+
+    def test_one_point_cosets(self):
+        for p in PRIMES:
+            space = SpaceDescriptor(p, 2)
+            point = DenseSubset.from_members(space, [p + 2])
+            # every nontrivial coefficient of a one-point localization ties
+            assert np.array_equal(self.witnesses(point, SubspaceBasis.full(space), 0.5), [1])
+            line = SubspaceBasis.from_rows(space, [[1, 1]])
+            got = self.witnesses(point, line, 0.5)
+            reps, _, _, want = classify_oracle(point, line, 0.5, regularity._TIE_MARGIN)
+            assert np.array_equal(got, want)
+            assert set(got[got >= 0]) == {1}
+
+    def test_aline(self):
+        assert np.array_equal(self.witnesses(ALINE, V32, 0.5), [3])
+
+    def test_tie_below_the_threshold_is_no_witness(self):
+        # one point at H = V: every nontrivial magnitude is 1/9, the threshold
+        # sits 5e-13 below it, and the entry holding xi = 1 is pushed 1e-12
+        # below 1/9, inside the tie margin but under the threshold
+        point = DenseSubset.from_members(SP32, [0])
+        table = regularity._witness_table(V32)
+        lowered = int(np.flatnonzero(table == 1)[0])
+        exact = regularity._pass_loop
+
+        def lowered_entry(*args, **kwargs):
+            out = exact(*args, **kwargs)
+            out[:, lowered] *= 1 - 9e-12
+            return out
+
+        with mock.patch.object(regularity, "_pass_loop", lowered_entry):
+            cls = classify_vectors(point, V32, 1 - 4.5e-12)
+        assert not cls.is_regular
+        assert cls.witness_freqs[0] == np.delete(table, [0, lowered]).min()
 
 
 class TestEnergy:

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -98,6 +104,35 @@ class TestCounting:
         for _ in range(10):
             A = random_subset(sp52, gen)
             assert count_3aps_fourier(A) == count_3aps_naive(A)
+
+
+# Runs in a fresh interpreter, so ru_maxrss before the call is the mask's
+# process and the growth is the call's own peak.  The mask comes from uint8
+# draws, with no N-sized float temporary to raise the baseline.
+_PEAK_SCRIPT = """
+import json, resource
+import numpy as np
+from fpnreg.threeap import count_3aps_fourier
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
+count_3aps_fourier(DenseSubset.full(SpaceDescriptor(5, 2)))
+space = SpaceDescriptor(5, 10)
+bits = np.random.default_rng(0).integers(0, 2, size=space.N, dtype=np.uint8)
+A = DenseSubset(space, bits.view(bool))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+count = count_3aps_fourier(A)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before), "count": count}))
+"""
+
+
+def test_count_memory_budget_at_the_cap():
+    """count_3aps_fourier at 5^10 peaks at most 2.5 N*16 bytes above the mask."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["growth_bytes"] <= 2.5 * out["N"] * 16
 
 
 class TestFindTriple:
