@@ -332,7 +332,7 @@ def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
     Ahat(xi) = conj(out[-xi]).  The top-digit-0 plane out[:N/p] is closed
     under negation; each of the other stored planes stands for itself and
     its conjugate."""
-    out = _pass_loop(np.asarray(values), space.p, space.n, real=True).reshape(-1)
+    out = _pass_loop(values, space.p, space.n, real=True).reshape(-1)
     out /= space.N
     return out
 

@@ -99,7 +99,7 @@ def fourier_sup_report(R: DenseSubset) -> FourierSupReport:
     space = R.space
     if R.card == 0:
         raise InputError("R must be nonempty")
-    spec = full_spectrum(space, R.mask)  # |Rhat(-xi)| = |Rhat(xi)|: the stored half holds the sup
+    spec = full_spectrum(space, R.mask)  # |Rhat(-xi)| = |Rhat(xi)|, so the half holds the sup
     sup = float(np.abs(spec[1:]).max())
     bound = R.card / (space.N * math.log(space.N))
     return FourierSupReport(sup, bound, sup < bound)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fpnreg import regularity
-
 from fpnreg.errors import ContractError, InputError
 from fpnreg.fourier import DenseFunction, dft
 from fpnreg.regularity import (
@@ -115,7 +114,7 @@ class TestScanAgainstCharacterSums:
             A = random_subset(space, gen)
             for H in (SubspaceBasis.zero(space), SubspaceBasis.from_rows(space, [[1, 1]])):
                 cls = classify_vectors(A, H, 0.3)
-                reps, counts, sups, witnesses = classify_oracle(A, H, 0.3, regularity._TIE_MARGIN)
+                _, counts, sups, witnesses = classify_oracle(A, H, 0.3, regularity._TIE_MARGIN)
                 assert np.array_equal(cls.counts, counts)
                 assert np.abs(cls.sup_values - sups).max(initial=0) < 1e-12
                 assert np.array_equal(cls.witness_freqs, witnesses)
@@ -151,7 +150,7 @@ class TestWitnessTies:
             assert np.array_equal(self.witnesses(point, SubspaceBasis.full(space), 0.5), [1])
             line = SubspaceBasis.from_rows(space, [[1, 1]])
             got = self.witnesses(point, line, 0.5)
-            reps, _, _, want = classify_oracle(point, line, 0.5, regularity._TIE_MARGIN)
+            want = classify_oracle(point, line, 0.5, regularity._TIE_MARGIN)[3]
             assert np.array_equal(got, want)
             assert set(got[got >= 0]) == {1}
 
