@@ -46,10 +46,6 @@ class CayleyGraph:
     def density(self) -> float:
         return self.generator.card / self.space.N
 
-    def is_edge(self, v1, v2):
-        space = self.space
-        return self.generator.mask[space.sub(_check_index(space, v2), _check_index(space, v1))]
-
     def edge_count(self, X: DenseSubset, Y: DenseSubset) -> int:
         return edge_count_direct(self.generator, X, Y)
 
@@ -307,16 +303,15 @@ class PetalGraph:
         self.v2 = int(_check_index(space, v2))
         self.space = space
         self.u = H.size
-        cs = H.coset_system()
         coeffs = (H.elements()[:, None] // p ** np.array(H.pivots, dtype=np.int64)) % p
         self._weights = p ** np.arange(H.dim, dtype=np.int64)
         coeff_index = coeffs @ self._weights
-        self._left = cs.localization_row(self.v1)[coeff_index]
-        self._right = cs.localization_row(self.v2)[coeff_index]
+        self._left = H._localization(self.v1)[coeff_index, 0]
+        self._right = H._localization(self.v2)[coeff_index, 0]
         # inv2 (a + b) = inv2 a + inv2 b, so each side is halved once here
         self._half = space.inv2 * coeffs % p
         w = int(space.smul(space.inv2, space.add(self.v1, self.v2)))
-        self._row = generator.mask[cs.localization_row(w)]
+        self._row = generator.mask[H._localization(w)[:, 0]]
         self._degree = int(self._row.sum())
 
     def left_points(self) -> np.ndarray:

@@ -90,14 +90,8 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
 
 
 def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.ndarray:
-    """Full complex DFT of the last axis of vec, the p**dim coefficients of
-    the (p,)*dim tensor; leading axes are a batch and pass through."""
-    vec = np.asarray(vec)
-    lead = vec.shape[:-1]
-    if lead:
-        # the pass loop wants the batch trailing
-        vec = np.ascontiguousarray(vec.reshape(-1, p**dim).T, dtype=complex)
-    return _pass_loop(vec, p, dim, real=False, inverse=inverse).reshape(lead + (-1,))
+    """Full complex DFT of vec, the p**dim coefficients of the (p,)*dim tensor."""
+    return _pass_loop(vec, p, dim, real=False, inverse=inverse).reshape(-1)
 
 
 def _dual_data(H: SubspaceBasis):
@@ -176,11 +170,6 @@ class DenseFunction:
     def constant(cls, space: SpaceDescriptor, c: float, support: SubspaceBasis | None = None) -> "DenseFunction":
         size = space.N if support is None else support.size
         return cls(space, np.full(size, float(c)), support)
-
-    def domain_elements(self) -> np.ndarray:
-        if self.support is None:
-            return np.arange(self.space.N, dtype=np.int64)
-        return self.support.elements()
 
     def __repr__(self):
         dom = "V" if self.support is None else f"H(dim={self.support.dim})"
@@ -317,11 +306,6 @@ def identity_suite(f: DenseFunction, g: DenseFunction, H: SubspaceBasis) -> Iden
 # ---------------------------------------------------------------------------
 # Helpers for the regularity scan and the full-group counts
 # ---------------------------------------------------------------------------
-
-
-def rep_for_eta(H: SubspaceBasis) -> np.ndarray:
-    """Canonical dual representative for each flat eta index."""
-    return _dual_data(H)[2]
 
 
 def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InputError
-from .fourier import _pass_loop, rep_for_eta
+from .fourier import _dual_data, _pass_loop
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
+    _check_index,
     _dilate,
     annihilator_within,
     same_space,
@@ -67,8 +68,8 @@ class VectorClassification:
 
 def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
     """sup over xi outside H^perp of |fhat(xi)| for the localization A_H^v."""
-    same_space(A, H)
-    vec = A.mask[H.coset_system().localization_row(v)]
+    space = same_space(A, H)
+    vec = A.mask[H._localization(_check_index(space, v))]
     if H.size == 1:
         return 0.0
     spec = _pass_loop(vec, H.space.p, H.dim, real=True)[0]
@@ -81,7 +82,7 @@ def _witness_table(H: SubspaceBasis) -> np.ndarray:
     |fhat| is equal on the two, so both are tied maximizers together."""
     if "witness_table" not in H._cache:
         p, d = H.space.p, H.dim
-        xi_of_eta = rep_for_eta(H)
+        xi_of_eta = _dual_data(H)[2]
         table = np.minimum(xi_of_eta, xi_of_eta[_dilate(np.arange(H.size), p, d, -1)])
         table = table[: (p + 1) // 2 * p ** (d - 1)]
         table.flags.writeable = False
@@ -89,25 +90,39 @@ def _witness_table(H: SubspaceBasis) -> np.ndarray:
     return H._cache["witness_table"]
 
 
+def _scan_blocks(A: DenseSubset, H: SubspaceBasis):
+    """(lo, vecs) per aligned run of coset ids: vecs[c, t] = 1_A(h_c - reps[lo + t]).
+
+    A run holds p**s ids for the largest s with p**s |H| <= _SCAN_BLOCK (at
+    least one id), so any scan of N <= _SCAN_BLOCK points is one block.
+    """
+    p, q = H.space.p, len(H.free)
+    s = 0
+    while s < q and p ** (s + 1) * H.size <= _SCAN_BLOCK:
+        s += 1
+    reps = H.coset_reps()
+    for lo in range(0, len(reps), p**s):
+        yield lo, A.mask[H._localization(reps[lo], s)]
+
+
 def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClassification:
     """Classify every coset representative of V/H as regular or irregular.
 
     Regularity is coset-invariant, so scanning representatives covers V.
-    The localizations come from the coset system's gather, one block of
-    about _SCAN_BLOCK points at a time, gathered transposed so the cosets
-    are the trailing batch axis of one real-entry transform.  Sups and
-    witnesses are read from the stored half spectrum (|fhat(-eta)| =
-    |fhat(eta)|).  The witness per irregular coset is the minimal flat
-    index among the maximizers, where an entry ties with the sup when its
-    |H|-normalized magnitude is within _TIE_MARGIN of it and above the
-    threshold: exactly tied frequencies, such as every nontrivial one of a
-    one-point localization, then do not depend on round-off.
+    The localizations come from _scan_blocks, one aligned run of coset ids
+    at a time, laid out with the cosets as the trailing batch axis of one
+    real-entry transform.  Sups and witnesses are read from the stored half
+    spectrum (|fhat(-eta)| = |fhat(eta)|).  The witness per irregular coset
+    is the minimal flat index among the maximizers, where an entry ties
+    with the sup when its |H|-normalized magnitude is within _TIE_MARGIN of
+    it and above the threshold: exactly tied frequencies, such as every
+    nontrivial one of a one-point localization, then do not depend on
+    round-off.
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     space = same_space(A, H)
-    cs = H.coset_system()
-    reps = cs.reps
+    reps = H.coset_reps()
     K = len(reps)
     threshold = eps * A.card / space.N
 
@@ -116,10 +131,8 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
     witnesses = np.full(K, -1, dtype=np.int64)
     no_tie = np.iinfo(np.int64).max
 
-    block = max(1, _SCAN_BLOCK // max(H.size, 1))
-    for lo in range(0, K, block):
-        hi = min(lo + block, K)
-        vecs = A.mask[cs.localization_gather(lo, hi).T]
+    for lo, vecs in _scan_blocks(A, H):
+        hi = lo + vecs.shape[1]
         counts[lo:hi] = vecs.sum(axis=0)
         if H.size > 1:
             spec = np.abs(_pass_loop(vecs, space.p, H.dim, real=True)[:, 1:])
@@ -152,25 +165,23 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
 
 
 def localized_counts(A: DenseSubset, H: SubspaceBasis) -> np.ndarray:
-    """|A_H^v| for every coset representative v, via one bincount pass.
-
-    a in A lands in the coset of v exactly when v + H = -a + H, so the
-    counts per coset id of A are negated on the (p,)*(n - dim H) id tensor.
-    """
+    """|A_H^v| for every coset representative v: the column sums of the
+    blocks that classify_vectors scans."""
     same_space(A, H)
-    cs = H.coset_system()
-    per_id = np.bincount(cs.coset_id[A.members()], minlength=cs.K).astype(np.int64)
-    return _dilate(per_id, H.space.p, len(H.free), -1)
+    return np.concatenate([vecs.sum(axis=0) for _, vecs in _scan_blocks(A, H)])
+
+
+def _energy(counts: np.ndarray, H: SubspaceBasis, card: int) -> float:
+    return float((counts.astype(np.float64) ** 2).sum()) * H.space.N / (H.size * card**2)
 
 
 def energy(A: DenseSubset, H: SubspaceBasis) -> float:
     """d(A, H): mean squared coset density of A over H, normalized by the
     squared global density.  Equals 1 at H = V and N/|A| at H = {0}."""
-    space = same_space(A, H)
+    same_space(A, H)
     if A.card == 0:
         raise InputError("energy is undefined for an empty set")
-    cnt = localized_counts(A, H)
-    return float((cnt.astype(np.float64) ** 2).sum()) * space.N / (H.size * A.card**2)
+    return _energy(localized_counts(A, H), H, A.card)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +202,13 @@ class RefineDiagnostics:
         return self.energy_after - self.energy_before
 
 
+def _refine(H: SubspaceBasis, cls: VectorClassification):
+    """(unique witnesses of the irregular cosets, the subspace of H they
+    annihilate)."""
+    witnesses = np.unique(cls.witness_freqs[~cls.regular])
+    return witnesses, annihilator_within(H, witnesses)
+
+
 def refine_step(
     A: DenseSubset,
     H: SubspaceBasis,
@@ -205,8 +223,7 @@ def refine_step(
         raise InputError("classification was computed for different inputs")
     if cls.is_regular:
         raise ContractError("refine_step called on an eps-regular subspace")
-    witnesses = np.unique(cls.witness_freqs[~cls.regular])
-    new_h = annihilator_within(H, witnesses)
+    witnesses, new_h = _refine(H, cls)
     diag = RefineDiagnostics(
         witnesses=tuple(int(x) for x in witnesses),
         energy_before=energy(A, H),
@@ -263,18 +280,15 @@ def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
     space = same_space(*parts)
     step_cap, statement_cap = _step_caps(eps, alpha, m)
     H = SubspaceBasis.full(space)
-    nonempty = [A for A in parts if A.card]
-
-    def total_energy(h):
-        return float(sum(energy(A, h) for A in nonempty))
-
-    trace = [total_energy(H)] if nonempty else []
-    index_trace = [1] if nonempty else []
-    mass_trace = []
+    nonempty = any(A.card for A in parts)
+    trace, index_trace, mass_trace = [], [], []
     iterations = 0
     while True:
         classes = [classify_vectors(A, H, eps) for A in parts]
         if nonempty:
+            energies = (_energy(c.counts, H, A.card) for A, c in zip(parts, classes) if A.card)
+            trace.append(float(sum(energies)))
+            index_trace.append(space.N // H.size)
             mass_trace.append(sum(c.irregular_mass for c in classes))
         failing = next((i for i, c in enumerate(classes) if not c.is_regular), None)
         if failing is None:
@@ -283,14 +297,12 @@ def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
         if iterations >= step_cap:
             stop, ok = "step_cap", False
             break
-        new_h, _ = refine_step(parts[failing], H, eps, classes[failing])
+        _, new_h = _refine(H, classes[failing])
         if new_h.size < floor:
             stop, ok = "floor_hit", False
             break
         H = new_h
         iterations += 1
-        trace.append(total_energy(H))
-        index_trace.append(space.N // H.size)
 
     claim_bound = claim_ok = None
     if sigma is not None and delta is not None and m == 1:
@@ -332,6 +344,8 @@ def regularize(
     energy-bound check when A sits inside a (sigma, delta)-certified set, in
     which case d(A, H) <= (1+delta)^2 4/alpha^2 is asserted along the trace
     for every H of size >= sigma N).  An empty A is vacuously regular at V.
+    The energy of each visited H comes from the counts |A_H^v| of its
+    classification, so the trace costs no pass beyond the per-coset scan.
     """
     _validate_params(eps, alpha, floor)
     return _iterate([A], eps, alpha, floor, 1, sigma=sigma, delta=delta)

@@ -353,8 +353,8 @@ def flower_find(
             (), (), 0, 0.0, mrep,
         )
     H = mrep.H_final
-    cs = H.coset_system()
-    K = cs.K
+    reps = H.coset_reps()
+    K = len(reps)
 
     cands = [
         build_petal_candidates(parts[i], H, eps, alpha, m, mrep.classifications[i])
@@ -365,7 +365,7 @@ def flower_find(
     # member[i, k]: coset id k is a petal candidate of part i
     member = np.zeros((m, K), dtype=bool)
     for i, c in enumerate(cands):
-        member[i, cs.coset_id[c.reps]] = True
+        member[i, np.searchsorted(reps, c.reps)] = True
     in_b = member.sum(axis=0) >= 3
     b_size = int(in_b.sum())
     case1_threshold = alpha / (8 * m) * K
@@ -389,9 +389,10 @@ def flower_find(
         eligible[np.argmax(rest[:, held], axis=0), held] = True
         discard_bound = 3.0 * sum(int(e.sum()) ** 2 for e in eligible)
 
-    # Ids ascend with the reps.  reps[k] has digit k_r at the r-th free
-    # coordinate and 0 at every pivot, so the coset of 2c - u has id
-    # sum_r p^r ((2 c_r - u_r) mod p) in the digits of the ids.
+    # A coset's id is its rep's position in the ascending reps.  reps[k] has
+    # digit k_r at the r-th free coordinate and 0 at every pivot, so the
+    # coset of 2c - u has id sum_r p^r ((2 c_r - u_r) mod p) in the digits
+    # of the ids.
     p = space.p
     weights = p ** np.arange(len(H.free), dtype=np.int64)
     elig_ids = [np.flatnonzero(e) for e in eligible]
@@ -436,9 +437,9 @@ def flower_find(
 
     cnt, i0, j0, k0, at = best
     ok = petal_mask(i0, j0, k0, at, at + 1)[0]
-    us = cs.reps[elig_ids[j0][ok]]
-    ws = cs.reps[midpoint_ids(i0, j0, at, at + 1)[0][ok]]
-    center = int(cs.reps[elig_ids[i0][at]])
+    us = reps[elig_ids[j0][ok]]
+    ws = reps[midpoint_ids(i0, j0, at, at + 1)[0][ok]]
+    center = int(reps[elig_ids[i0][at]])
     petals = tuple(zip(us.tolist(), ws.tolist()))
     flower = Flower(
         H=H,

@@ -196,16 +196,6 @@ def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
     return np.take(t, _digit_perm(p, low, c), axis=1).reshape(-1)
 
 
-def dilate(space: SpaceDescriptor, values, c: int) -> np.ndarray:
-    """values[c*x] for every flat index x, without the digit codec.
-
-    A flat index is a C-order position in the (p,)*n tensor with the axes in
-    reverse coordinate order, and x -> c*x applies the same permutation
-    k -> c*k mod p to every digit.
-    """
-    return _dilate(values, space.p, space.n, c)
-
-
 # ---------------------------------------------------------------------------
 # Dense subsets
 # ---------------------------------------------------------------------------
@@ -472,6 +462,39 @@ class SubspaceBasis:
             self._cache["coset_reps"] = reps
         return self._cache["coset_reps"]
 
+    def _localization(self, v: int, s: int = 0) -> np.ndarray:
+        """G[c, t] = flat(h_c - v - x_t), shape (|H|, p**s).
+
+        x_t has digit t_r at the free coordinate F_r for r < s, where
+        t = sum_r t_r p^r, and 0 elsewhere.  h_c - v has digit
+        (c_j - v_(P_j)) mod p at pivot P_j and (free_digits[r, c] - v_(F_r))
+        mod p at F_r, so
+
+            flat(h_c - v) = sum_j p^(P_j) ((c_j - v_(P_j)) mod p)
+                          + sum_r p^(F_r) ((free_digits[r, c] - v_(F_r)) mod p).
+
+        Column 0 is the localization row of v: A.mask[G[:, 0]] is A_H^v in
+        coefficient order.  When v = coset_reps()[k] with k a multiple of
+        p**s, column t is the row of coset_reps()[k + t], so the block
+        covers an aligned run of p**s coset ids, one broadcast axis per
+        digit of t.  G is the transposed view of a C-order (p**s, |H|) array.
+        """
+        p, free = self.space.p, self.free
+        vd = (int(v) // self.space.weights) % p
+        k = np.arange(p, dtype=np.int64)
+        g, free_digits = self._coeff_tables()  # g: the pivot sum at v_P = 0
+        if vd[list(self.pivots)].any():
+            g = _flatten(_digit_sum(p, [p**pc * ((k - vd[pc]) % p) for pc in self.pivots]), p, self.dim)
+        for r in range(s, len(free)):
+            g = g + p ** free[r] * ((free_digits[r] - vd[free[r]]) % p)
+        # built as (p,)*s + (|H|,) with digit t_r on axis s - 1 - r, so the
+        # long coefficient axis stays innermost while the broadcasts grow
+        for r in range(s):
+            shape = [1] * s + [self.size]
+            shape[s - 1 - r] = p
+            g = g + (p ** free[r] * ((free_digits[r] - vd[free[r]] - k[:, None]) % p)).reshape(shape)
+        return g.reshape(p**s, self.size).T
+
     def coset_system(self) -> "CosetSystem":
         if "coset_system" not in self._cache:
             self._cache["coset_system"] = _build_coset_system(self)
@@ -480,7 +503,7 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class CosetSystem:
-    """Canonical representatives of V/H: minimal flat index per coset, ascending.
+    """Canonical representatives of V/H and the point-to-coset lookup.
 
     With pivots P and free coordinates F of H's reduced basis R, the coset of
     x has the linear id
@@ -489,10 +512,11 @@ class CosetSystem:
 
     and reps[k] is the point with digit k_r at F_r and 0 at every pivot, so
     ids follow the ascending order of the representatives and V/H is the
-    (p,)*(n - dim H) digit tensor of the ids.  Memory held per H: reps (K
-    int64) and coset_id (one int64 N-array).  The localization gather is not
-    kept: localization_gather builds the rows it is asked for, and
-    classify_vectors asks for one _SCAN_BLOCK-sized row block at a time.
+    (p,)*(n - dim H) digit tensor of the ids.  It holds reps (K int64, the
+    same array as H.coset_reps()) and coset_id (one int64 N-array), which
+    only rep_of reads.  No library path builds it: the scan, the counts and
+    the localizations read H.coset_reps() and H._localization.  Only
+    explicit H.coset_system() callers do, such as Spectrum.value_at.
     """
 
     subspace: SubspaceBasis
@@ -505,60 +529,6 @@ class CosetSystem:
 
     def rep_of(self, index):
         return self.reps[self.coset_id[index]]
-
-    def id_of(self, index):
-        return self.coset_id[index]
-
-    def localization_gather(self, lo: int, hi: int) -> np.ndarray:
-        """G[k - lo, c] = flat(h_c - reps[k]) for coset ids lo <= k < hi.
-
-        Row k lists the points whose membership in A is the localization
-        A_H^(reps[k]) in coefficient order.  h_c - reps[k] has digit c_j at
-        pivot j and (free_digits[r, c] - k_r) mod p at free[r].  [lo, hi) is
-        cut into runs of p^s ids that share every digit k_r with r >= s;
-        each run is one broadcast over its s low digits.
-        """
-        H = self.subspace
-        p, q = H.space.p, len(H.free)
-        pivot_part, free_digits = H._coeff_tables()
-        k = np.arange(p, dtype=np.int64)
-        runs = []
-        while lo < hi:
-            s = 0
-            while s < q and lo % p ** (s + 1) == 0 and lo + p ** (s + 1) <= hi:
-                s += 1
-            rows = pivot_part.copy()
-            for r in range(s, q):
-                k_r = (lo // p**r) % p  # shared by the whole run
-                rows += p ** H.free[r] * ((free_digits[r] - k_r) % p)
-            rows = rows[None, :]
-            for r in range(s):
-                digit = p ** H.free[r] * ((free_digits[r][None, :] - k[:, None]) % p)
-                rows = (digit[:, None, :] + rows[None, :, :]).reshape(-1, H.size)
-            runs.append(rows)
-            lo += p**s
-        if not runs:
-            return np.empty((0, H.size), dtype=np.int64)
-        return runs[0] if len(runs) == 1 else np.concatenate(runs)
-
-    def localization_row(self, v: int) -> np.ndarray:
-        """flat(h_c - v) for every coefficient index c.
-
-        v = reps[k] + h_{c'} with k = coset_id[v] and c'_j the digit of v at
-        pivot j, so the row is row k of the gather with every coefficient
-        digit shifted by c'_j: one roll of the (p,)*dim coefficient tensor.
-        """
-        H = self.subspace
-        p, d = H.space.p, H.dim
-        v = int(_check_index(H.space, v))
-        k = int(self.coset_id[v])
-        row = self.localization_gather(k, k + 1)[0]
-        if d == 0:
-            return row
-        shift = [(v // p**pc) % p for pc in H.pivots]
-        # coefficient digit j sits on axis d - 1 - j of the C-order tensor
-        axes = [d - 1 - j for j in range(d)]
-        return np.roll(row.reshape((p,) * d), shift, axis=axes).reshape(-1)
 
 
 def _build_coset_system(H: SubspaceBasis) -> CosetSystem:
@@ -616,7 +586,7 @@ def coset_representatives(H: SubspaceBasis) -> CosetSystem:
 def localize(A: DenseSubset, H: SubspaceBasis, v: int) -> DenseSubset:
     """The localization (A + v) intersect H, as a subset supported on H."""
     space = same_space(A, H)
-    sel = A.mask[H.coset_system().localization_row(v)]
+    sel = A.mask[H._localization(_check_index(space, v))[:, 0]]
     mask = np.zeros(space.N, dtype=bool)
     mask[H._coeff_elements()[sel]] = True
     return DenseSubset(space, mask)
@@ -624,8 +594,8 @@ def localize(A: DenseSubset, H: SubspaceBasis, v: int) -> DenseSubset:
 
 def localized_count(A: DenseSubset, H: SubspaceBasis, v: int) -> int:
     """|A_H^v| without materializing the subset."""
-    same_space(A, H)
-    return int(A.mask[H.coset_system().localization_row(v)].sum())
+    space = same_space(A, H)
+    return int(A.mask[H._localization(_check_index(space, v))[:, 0]].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """The tensor-native coset geometry of V/H against the digit-codec oracles.
 
-Coset ids, representatives, the localization gather, localized counts and
+Coset ids, representatives, the localization blocks, localized counts and
 the dual representatives are linear digit formulas in the library; the
 oracles in helpers decode every point instead.  The flower petal search is
 checked against a literal nested loop over (i0, j0, k0, center, petal), and
 the midpoint petal graph against decoded midpoints of every pair.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +20,17 @@ from hypothesis import example, given, strategies as st
 
 from fpnreg.cayley import petal_graph
 from fpnreg.fourier import _dual_data
-from fpnreg.regularity import localized_counts, restricted_sup
-from fpnreg.threeap import flower_find
+from fpnreg import regularity, vectorspace
+from fpnreg.randmodel import GreedyAdversary, mc_klr11
+from fpnreg.regularity import (
+    energy,
+    localized_counts,
+    refine_step,
+    regularize,
+    regularize_multi,
+    restricted_sup,
+)
+from fpnreg.threeap import canonical_split, flower_find
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localize, localized_count
 
 from helpers import (
@@ -71,28 +87,30 @@ def test_coset_system_matches_codec(p, n, dim, seed):
 @example(n=3, dim=6, seed=1)
 def test_localization_gather_matches_codec(p, n, dim, seed):
     space, H, gen = draw_case(p, n, dim, seed)
-    cs = H.coset_system()
-    want = localization_rows_oracle(H, cs.reps)
-    assert np.array_equal(cs.localization_gather(0, cs.K), want)
-    # an arbitrary id range is cut into runs of aligned digit blocks
-    lo, hi = sorted(int(x) for x in gen.integers(0, cs.K + 1, size=2))
-    assert np.array_equal(cs.localization_gather(lo, hi), want[lo:hi])
+    reps = H.coset_reps()
+    want = localization_rows_oracle(H, reps)
+    # the first and the last aligned run of p**s coset ids, for every s
+    for s in range(len(H.free) + 1):
+        for lo in (0, len(reps) - p**s):
+            block = H._localization(reps[lo], s)
+            assert np.array_equal(block.T, want[lo : lo + p**s])
     v = int(gen.integers(0, space.N))
-    assert np.array_equal(cs.localization_row(v), localization_rows_oracle(H, [v])[0])
+    assert np.array_equal(H._localization(v)[:, 0], localization_rows_oracle(H, [v])[0])
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@given(**cases, density=st.sampled_from([0.0, 0.3, 1.0]))
-@example(n=1, dim=0, seed=0, density=0.3)
-@example(n=1, dim=1, seed=0, density=0.3)
-@example(n=3, dim=0, seed=1, density=0.3)
-@example(n=3, dim=6, seed=1, density=0.3)
-def test_localized_counts_match_codec(p, n, dim, seed, density):
+@given(**cases, density=st.sampled_from([0.0, 0.3, 1.0]), block=st.sampled_from([None, 1]))
+@example(n=1, dim=0, seed=0, density=0.3, block=None)
+@example(n=1, dim=1, seed=0, density=0.3, block=None)
+@example(n=3, dim=0, seed=1, density=0.3, block=None)
+@example(n=3, dim=6, seed=1, density=0.3, block=None)
+@example(n=4, dim=2, seed=2, density=0.3, block=1)  # one coset per block
+def test_localized_counts_match_codec(p, n, dim, seed, density, block):
     space, H, gen = draw_case(p, n, dim, seed)
     A = DenseSubset(space, gen.random(space.N) < density)
-    reps = H.coset_system().reps
-    want = localized_counts_oracle(A, H, reps)
-    assert np.array_equal(localized_counts(A, H), want)
+    want = localized_counts_oracle(A, H, H.coset_reps())
+    with mock.patch.object(regularity, "_SCAN_BLOCK", block or regularity._SCAN_BLOCK):
+        assert np.array_equal(localized_counts(A, H), want)
     v = int(gen.integers(0, space.N))
     assert localized_count(A, H, v) == int(localized_counts_oracle(A, H, [v])[0])
     assert localize(A, H, v).card == localized_count(A, H, v)
@@ -226,3 +244,83 @@ def test_petal_graph_matches_codec(p, n, dim, seed, density):
     assert np.array_equal(pg.right_degrees_into(none), np.zeros(u, dtype=np.int64))
     assert pg.edge_count() == int(adj.sum())
     assert pg.density() == int(adj.sum()) / u**2
+
+
+# ---------------------------------------------------------------------------
+# No library path builds a coset system
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (5, 4)])
+def test_no_library_path_builds_a_coset_system(pn, monkeypatch):
+    space = SpaceDescriptor(*pn)
+    gen = np.random.default_rng(8)
+    A = coset_union(space, 2, gen)  # the test helper itself reads coset ids
+    B = DenseSubset(space, gen.random(space.N) < 0.1)
+    H = subspace_of_dim(space, 2, gen)
+    v = int(gen.integers(0, space.N))
+
+    def refuse(H):
+        raise AssertionError("a coset system was built")
+
+    monkeypatch.setattr(vectorspace, "_build_coset_system", refuse)
+    assert regularize(A, 0.2, 0.5).iterations > 0
+    assert regularize_multi(canonical_split(A, 3), 0.2, 0.5).iterations > 0
+    flower_find(A, 3, 0.2, 0.5)
+    mc_klr11(petal_graph(B, SubspaceBasis.full(space), 0, 0), 4, 4, GreedyAdversary(), 20, 1)
+    assert localize(A, H, v).card == localized_count(A, H, v)
+    restricted_sup(A, H, v)
+    energy(A, H)
+    refine_step(A, SubspaceBasis.full(space), 0.2)
+
+
+# ---------------------------------------------------------------------------
+# Memory budget at the cap
+# ---------------------------------------------------------------------------
+
+
+# Runs in a fresh interpreter per operation, so ru_maxrss before the call is
+# the mask's process and the growth is the call's own peak.  A warm-up call
+# at 5^3 loads what the operation imports; the mask comes from uint8 draws.
+_BUDGET_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from fpnreg.cayley import PetalGraph
+from fpnreg.regularity import classify_vectors, energy, restricted_sup
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
+ops = {
+    "PetalGraph": lambda A, H: PetalGraph(A, H, A.space.N // 3, A.space.N - 7),
+    "restricted_sup": lambda A, H: restricted_sup(A, H, A.space.N // 3),
+    "classify_vectors": lambda A, H: classify_vectors(A, H, 0.2),
+    "energy": energy,
+}
+op = ops[sys.argv[1]]
+small = SpaceDescriptor(5, 3)
+op(DenseSubset.full(small), SubspaceBasis.from_rows(small, [[1, 2, 0]]))
+space = SpaceDescriptor(5, 10)
+gen = np.random.default_rng(0)
+H = SubspaceBasis.from_rows(space, gen.integers(0, 5, size=(3, space.n)))
+assert H.dim == 3
+bits = gen.integers(0, 2, size=space.N, dtype=np.uint8)
+A = DenseSubset(space, bits.view(bool))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+op(A, H)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "op, budget",
+    [("PetalGraph", 1), ("restricted_sup", 1), ("classify_vectors", 4), ("energy", 4)],
+)
+def test_localization_memory_budget_at_the_cap(op, budget):
+    """At 5^10 with a dim-3 H the call peaks at most budget * N bytes above the mask."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUDGET_SCRIPT, op], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["growth_bytes"] <= budget * out["N"]

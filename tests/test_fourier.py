@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from fpnreg.errors import InputError
 from fpnreg.fourier import (
     DenseFunction,
-    _multi_dft,
     _pass_loop,
     Spectrum,
     convolve,
@@ -90,15 +89,6 @@ class TestDft:
             neg = int(SP33.neg(xi))
             stored = flat[xi] if xi < len(flat) else flat[neg].conj()
             assert abs(stored - s.value_at(xi)) < 1e-12
-
-    def test_batch_axis_transforms_each_row(self):
-        gen = np.random.default_rng(5)
-        rows = gen.uniform(-1, 1, size=(4, 5**3))
-        for inverse in (False, True):
-            batched = _multi_dft(rows, 5, 3, inverse=inverse)
-            single = np.stack([_multi_dft(r, 5, 3, inverse=inverse) for r in rows])
-            assert batched.shape == (4, 5**3)
-            assert np.abs(batched - single).max() < 1e-12
 
 
 class TestPassLoop:
