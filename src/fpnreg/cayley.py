@@ -22,6 +22,8 @@ from .vectorspace import (
     SpaceDescriptor,
     SubspaceBasis,
     _check_index,
+    _digit_reversal,
+    _weights,
     localized_count,
     same_space,
 )
@@ -289,9 +291,9 @@ class PetalGraph:
     over all of H - w as either end runs over its side.  So the graph is a
     Cayley graph of H and every vertex on either side has degree
     |A_H^w| = |(A + w) ^ H|; it has u |A_H^w| edges.  One localized row
-    row[c] = [h_c - w in A] decides every edge: the midpoint's coefficient
-    digits are inv2 (c_i + c_j) mod p, where h's coefficient digit j is its
-    digit at pivot j.
+    row[c] = [h_c - w in A] decides every edge: h_i has the coefficient index
+    c_i = _digit_reversal(p, dim)[i], and the midpoint's coefficient digits
+    are inv2 (c_i + c_j) mod p.
     """
 
     def __init__(self, generator: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
@@ -303,9 +305,9 @@ class PetalGraph:
         self.v2 = int(_check_index(space, v2))
         self.space = space
         self.u = H.size
-        coeffs = (H.elements()[:, None] // p ** np.array(H.pivots, dtype=np.int64)) % p
-        self._weights = p ** np.arange(H.dim, dtype=np.int64)
-        coeff_index = coeffs @ self._weights
+        self._weights = _weights(p, H.dim)
+        coeff_index = _digit_reversal(p, H.dim)
+        coeffs = (coeff_index[:, None] // self._weights) % p
         self._left = H._localization(self.v1)[coeff_index, 0]
         self._right = H._localization(self.v2)[coeff_index, 0]
         # inv2 (a + b) = inv2 a + inv2 b, so each side is halved once here

@@ -36,8 +36,10 @@ from .vectorspace import (
     SpaceDescriptor,
     SubspaceBasis,
     _check_index,
+    _digit_reversal,
     _flatten,
     _linear_form,
+    _weights,
     same_space,
 )
 
@@ -121,15 +123,6 @@ def _dual_data(H: SubspaceBasis):
     return H._cache["dual"]
 
 
-def _sorted_positions(H: SubspaceBasis) -> np.ndarray:
-    """Position of each coefficient-order element inside elements()."""
-    if "sorted_pos" not in H._cache:
-        pos = np.searchsorted(H.elements(), H._coeff_elements())
-        pos.flags.writeable = False
-        H._cache["sorted_pos"] = pos
-    return H._cache["sorted_pos"]
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -199,9 +192,12 @@ class Spectrum:
         return self.base.space
 
     def value_at(self, xi: int) -> complex:
-        """Entry for any xi in V (resolved through its coset mod base^perp)."""
-        xi = int(_check_index(self.space, xi))
-        rep = int(self.base.annihilator().coset_system().rep_of(xi))
+        """Entry for any xi in V, resolved through its coset mod base^perp:
+        xi and its canonical rep have the same eta = rows . xi."""
+        space, H = self.space, self.base
+        xi = int(_check_index(space, xi))
+        eta = (H.rows @ space.digits(xi)) % space.p @ _weights(space.p, H.dim)
+        rep = int(_dual_data(H)[2][eta])
         pos = int(np.searchsorted(self.freqs, rep))
         return complex(self.values[pos])
 
@@ -225,7 +221,7 @@ def _coeff_values(f: DenseFunction, H: SubspaceBasis) -> np.ndarray:
         # full-space values align with flat indices, so restriction is a gather
         return f.values[H._coeff_elements()]
     if f.support == H:
-        return f.values[_sorted_positions(H)]
+        return f.values[_digit_reversal(H.space.p, H.dim)]
     raise InputError("function support does not match the transform subspace")
 
 
@@ -244,9 +240,7 @@ def _idft_complex(s: Spectrum) -> np.ndarray:
     ghat = np.zeros(H.size, dtype=complex)
     ghat[eta] = s.values
     g = _multi_dft(ghat, H.space.p, H.dim, inverse=True)
-    out = np.empty(H.size, dtype=complex)
-    out[_sorted_positions(H)] = g
-    return out
+    return g[_digit_reversal(H.space.p, H.dim)]
 
 
 def idft(s: Spectrum) -> DenseFunction:
@@ -292,9 +286,7 @@ def identity_suite(f: DenseFunction, g: DenseFunction, H: SubspaceBasis) -> Iden
     plancherel = abs(complex(np.mean(fv * gv)) - complex((sf.values * sg.values.conj()).sum()))
 
     recon = _idft_complex(sf)
-    fsorted = np.empty(H.size)
-    fsorted[_sorted_positions(H)] = fv
-    inversion = float(np.abs(recon - fsorted).max())
+    inversion = float(np.abs(recon - fv[_digit_reversal(H.space.p, H.dim)]).max())
 
     conv = convolve(f, g, H)
     sconv = dft(conv, H)

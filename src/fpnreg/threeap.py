@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cayley import _PAIR_BLOCK
 from .errors import InputError
 from .fourier import full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
@@ -27,10 +28,6 @@ from .vectorspace import (
     _dilate,
     same_space,
 )
-
-# Entries of one block of the (center, petal, digit) array in the petal search.
-_PETAL_BLOCK = 1 << 22
-
 
 @dataclass(frozen=True)
 class APTriple:
@@ -56,16 +53,29 @@ class APTriple:
 # ---------------------------------------------------------------------------
 
 
+def _progression_hits(A: DenseSubset):
+    """(a, lo, hits) per member a and block of differences d = lo + t, in
+    (a, d)-lexicographic order: hits[t] = [a + d and a + 2d lie in A].  A
+    block decodes about _PAIR_BLOCK digits, so memory does not grow with N."""
+    space, p, N = A.space, A.space.p, A.space.N
+    step = max(1, _PAIR_BLOCK // space.n)
+    for a in A.members():
+        ad = space.digits(int(a))
+        for lo in range(0, N, step):
+            dd = space.digits(np.arange(lo, min(lo + step, N), dtype=np.int64))
+            t = dd + ad
+            t %= p
+            hits = A.mask[space.index(t)]
+            t += dd
+            t %= p
+            hits &= A.mask[space.index(t)]
+            del dd, t  # freed before the next block is decoded
+            yield int(a), lo, hits
+
+
 def count_3aps_naive(A: DenseSubset, include_trivial: bool = True) -> int:
     """Exhaustive count of (a, d) pairs with a, a+d, a+2d in A."""
-    space = A.space
-    if A.card == 0:
-        return 0
-    all_d = np.arange(space.N, dtype=np.int64)
-    dbl = space.smul(2, all_d)
-    total = 0
-    for a in A.members():
-        total += int((A.mask[space.add(int(a), all_d)] & A.mask[space.add(int(a), dbl)]).sum())
+    total = sum(int(hits.sum()) for _, _, hits in _progression_hits(A))
     return total if include_trivial else total - A.card
 
 
@@ -97,15 +107,12 @@ def count_3aps_fourier(A: DenseSubset) -> int:
 
 def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:
     """First nontrivial triple in (a, d)-lexicographic scan order, or None."""
-    space = A.space
-    all_d = np.arange(space.N, dtype=np.int64)
-    dbl = space.smul(2, all_d)
-    for a in A.members():
-        hits = A.mask[space.add(int(a), all_d)] & A.mask[space.add(int(a), dbl)]
-        hits[0] = False
+    for a, lo, hits in _progression_hits(A):
+        if lo == 0:
+            hits[0] = False  # d = 0 is the trivial progression
         pos = np.flatnonzero(hits)
         if pos.size:
-            return APTriple(int(a), int(pos[0]))
+            return APTriple(a, lo + int(pos[0]))
     return None
 
 
@@ -416,7 +423,7 @@ def flower_find(
                 continue
             k0s = [k0 for k0 in range(m) if k0 not in (i0, j0) and len(elig_ids[k0])]
             counts = np.zeros((m, n_centers), dtype=np.int64)
-            block = max(1, _PETAL_BLOCK // (len(elig_ids[j0]) * max(len(weights), 1)))
+            block = max(1, _PAIR_BLOCK // (len(elig_ids[j0]) * max(len(weights), 1)))
             for lo in range(0, n_centers, block):
                 hi = min(lo + block, n_centers)
                 for k0 in k0s:

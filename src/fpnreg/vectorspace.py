@@ -181,6 +181,16 @@ def _digit_perm(p: int, m: int, c: int) -> np.ndarray:
     return perm
 
 
+@lru_cache(maxsize=None)
+def _digit_reversal(p: int, m: int) -> np.ndarray:
+    """The flat index of x's digits in reverse order, for every x of the
+    (p,)*m digit tensor: digit i moves to m - 1 - i.  An involution."""
+    k = np.arange(p, dtype=np.int64)
+    rev = _flatten(_digit_sum(p, [k * p ** (m - 1 - i) for i in range(m)]), p, m)
+    rev.flags.writeable = False
+    return rev
+
+
 def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
     """values[c*x] over the flat indices x of the (p,)*m digit tensor.
 
@@ -298,18 +308,14 @@ def _rref(mat: np.ndarray, p: int, col_order) -> tuple[np.ndarray, list]:
     return a[:r], pivots
 
 
-def _nullspace(mat: np.ndarray, p: int, ncols: int) -> np.ndarray:
-    """Basis (rows) of {c : mat @ c = 0} over GF(p); mat has ncols columns."""
-    if mat.size == 0:
-        return np.eye(ncols, dtype=np.int64)
-    red, pivots = _rref(mat, p, range(ncols))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for j, pc in enumerate(pivots):
-            basis[k, pc] = (-red[j, f]) % p
-    return basis
+def _null_rows(B: SubspaceBasis) -> np.ndarray:
+    """Rows spanning B^perp, from B's reduced rows R with pivots P:
+    e_f - sum_j R[j, f] e_(P_j) per free coordinate f.  They are not reduced."""
+    free = list(B.free)
+    null = np.zeros((len(free), B.space.n), dtype=np.int64)
+    null[:, free] = np.eye(len(free), dtype=np.int64)
+    null[:, list(B.pivots)] = (-B.rows[:, free].T) % B.space.p
+    return null
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +426,11 @@ class SubspaceBasis:
         return self._cache["coeff_elements"]
 
     def elements(self) -> np.ndarray:
-        """Member indices, ascending."""
+        """Member indices, ascending.  Pivots descend and row j is 0 above
+        pivot j, so h_c's order is c's digits read with c_0 the most
+        significant: entry i is _coeff_elements()[_digit_reversal(p, dim)[i]]."""
         if "elements" not in self._cache:
-            e = np.sort(self._coeff_elements())
+            e = self._coeff_elements()[_digit_reversal(self.space.p, self.dim)]
             e.flags.writeable = False
             self._cache["elements"] = e
         return self._cache["elements"]
@@ -441,13 +449,7 @@ class SubspaceBasis:
     def annihilator(self) -> "SubspaceBasis":
         """H^perp = {xi : <x, xi> = 0 for all x in H}, within V."""
         if "annihilator" not in self._cache:
-            # rows are reduced, so e_f - sum_j rows[j, f] e_(pivots[j]) per
-            # free coordinate f spans the null space
-            free = list(self.free)
-            null = np.zeros((len(free), self.space.n), dtype=np.int64)
-            null[:, free] = np.eye(len(free), dtype=np.int64)
-            null[:, list(self.pivots)] = (-self.rows[:, free].T) % self.space.p
-            self._cache["annihilator"] = SubspaceBasis.from_rows(self.space, null)
+            self._cache["annihilator"] = SubspaceBasis.from_rows(self.space, _null_rows(self))
         return self._cache["annihilator"]
 
     def coset_reps(self) -> np.ndarray:
@@ -514,9 +516,9 @@ class CosetSystem:
     ids follow the ascending order of the representatives and V/H is the
     (p,)*(n - dim H) digit tensor of the ids.  It holds reps (K int64, the
     same array as H.coset_reps()) and coset_id (one int64 N-array), which
-    only rep_of reads.  No library path builds it: the scan, the counts and
-    the localizations read H.coset_reps() and H._localization.  Only
-    explicit H.coset_system() callers do, such as Spectrum.value_at.
+    only rep_of reads.  No library computation builds it (the scan, the
+    counts and Spectrum.value_at read H.coset_reps(), H._localization and
+    the dual data); it serves explicit callers: tests, scripts and users.
     """
 
     subspace: SubspaceBasis
@@ -563,20 +565,16 @@ def rref(space: SpaceDescriptor, vectors) -> SubspaceBasis:
 
 
 def annihilator_within(H: SubspaceBasis, frequencies) -> SubspaceBasis:
-    """H' = {x in H : <x, xi> = 0 for every given frequency xi}.
-
-    For m distinct frequencies |H'| >= |H| / p^m.
-    """
+    """H' = {x in H : <x, xi> = 0 for every given frequency xi}, the
+    annihilator of S = H^perp + span(xi): two row reductions, S and H', and
+    S is cached as H'^perp.  For m distinct frequencies |H'| >= |H| / p^m."""
     space = H.space
     freqs = _check_points(space, frequencies)
-    if H.dim == 0 or freqs.size == 0:
-        return SubspaceBasis.from_rows(space, H.rows)
-    # x = c @ rows; constraint c @ (rows @ xi) = 0 per frequency.
-    m = (H.rows @ space.digits(freqs).T) % space.p  # (dim, m)
-    null = _nullspace(m.T, space.p, H.dim)
-    if null.size == 0:
-        return SubspaceBasis.zero(space)
-    return SubspaceBasis.from_rows(space, null @ H.rows % space.p)
+    span = SubspaceBasis.from_rows(space, np.vstack([H.annihilator().rows, space.digits(freqs)]))
+    refined = SubspaceBasis.from_rows(space, _null_rows(span))
+    # one way only: span keeps no reference back to refined
+    refined._cache["annihilator"] = span
+    return refined
 
 
 def coset_representatives(H: SubspaceBasis) -> CosetSystem:

@@ -255,3 +255,13 @@ def test_import_loads_no_scipy():
     path, loaded = out.stdout.splitlines()
     assert path == fpnreg.__file__
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("script", ["regularity_demo.py", "calibration_pilots.py"])
+def test_script_runs(script):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

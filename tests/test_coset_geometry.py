@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fpnreg.cayley import petal_graph
-from fpnreg.fourier import _dual_data
+from fpnreg.fourier import DenseFunction, _dual_data, dft
 from fpnreg import regularity, vectorspace
 from fpnreg.randmodel import GreedyAdversary, mc_klr11
 from fpnreg.regularity import (
@@ -31,7 +31,14 @@ from fpnreg.regularity import (
     restricted_sup,
 )
 from fpnreg.threeap import canonical_split, flower_find
-from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localize, localized_count
+from fpnreg.vectorspace import (
+    DenseSubset,
+    SpaceDescriptor,
+    SubspaceBasis,
+    _digit_reversal,
+    localize,
+    localized_count,
+)
 
 from helpers import (
     ORACLE_MAX_N,
@@ -77,6 +84,9 @@ def test_coset_system_matches_codec(p, n, dim, seed):
     assert np.array_equal(H.coset_reps(), reps)
     assert cs.K * H.size == space.N
     assert np.array_equal(H._coeff_elements(), coeff_elements_oracle(H))
+    assert np.array_equal(H.elements(), np.sort(coeff_elements_oracle(H)))
+    rev = _digit_reversal(p, H.dim)
+    assert np.array_equal(rev[rev], np.arange(H.size))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -272,6 +282,29 @@ def test_no_library_path_builds_a_coset_system(pn, monkeypatch):
     restricted_sup(A, H, v)
     energy(A, H)
     refine_step(A, SubspaceBasis.full(space), 0.2)
+    dft(DenseFunction.from_subset(A, H), H).value_at(v)
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (5, 4)])
+def test_each_refinement_costs_two_row_reductions(pn, monkeypatch):
+    """H = V and V^perp take one _rref each; a refinement step takes two,
+    H^perp + span(witnesses) and the refined H, whose annihilator is then
+    the cached span."""
+    space = SpaceDescriptor(*pn)
+    A = coset_union(space, 2, np.random.default_rng(8))
+    calls = []
+    real = vectorspace._rref
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vectorspace, "_rref", counting)
+    for run in (lambda: regularize(A, 0.2, 0.5), lambda: regularize_multi(canonical_split(A, 3), 0.2, 0.5)):
+        calls.clear()
+        report = run()
+        assert report.stop_reason == "regular" and report.iterations > 0
+        assert len(calls) == 2 + 2 * report.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +312,10 @@ def test_no_library_path_builds_a_coset_system(pn, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-# Runs in a fresh interpreter per operation, so ru_maxrss before the call is
-# the mask's process and the growth is the call's own peak.  A warm-up call
-# at 5^3 loads what the operation imports; the mask comes from uint8 draws.
+# Runs in a fresh interpreter per operation and space, so ru_maxrss before
+# the call is the mask's process and the growth is the call's own peak.  A
+# warm-up call at 5^3 loads what the operation imports; the mask comes from
+# uint8 draws.
 _BUDGET_SCRIPT = """
 import json, resource, sys
 import numpy as np
@@ -297,9 +331,9 @@ ops = {
 op = ops[sys.argv[1]]
 small = SpaceDescriptor(5, 3)
 op(DenseSubset.full(small), SubspaceBasis.from_rows(small, [[1, 2, 0]]))
-space = SpaceDescriptor(5, 10)
+space = SpaceDescriptor(int(sys.argv[2]), int(sys.argv[3]))
 gen = np.random.default_rng(0)
-H = SubspaceBasis.from_rows(space, gen.integers(0, 5, size=(3, space.n)))
+H = SubspaceBasis.from_rows(space, gen.integers(0, space.p, size=(3, space.n)))
 assert H.dim == 3
 bits = gen.integers(0, 2, size=space.N, dtype=np.uint8)
 A = DenseSubset(space, bits.view(bool))
@@ -315,12 +349,18 @@ print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before)}))
     [("PetalGraph", 1), ("restricted_sup", 1), ("classify_vectors", 4), ("energy", 4)],
 )
 def test_localization_memory_budget_at_the_cap(op, budget):
-    """At 5^10 with a dim-3 H the call peaks at most budget * N bytes above the mask."""
+    """At 5^10 and 13^6 with a dim-3 H the call peaks at most budget * N
+    bytes above the mask."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _BUDGET_SCRIPT, op], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["growth_bytes"] <= budget * out["N"]
+    for p, n in ((5, 10), (13, 6)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUDGET_SCRIPT, op, str(p), str(n)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["growth_bytes"] <= budget * out["N"], (p, n)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fpnreg.errors import ContractError, InputError
 from fpnreg.randmodel import sample_exact
 from fpnreg.rng import substream
 from fpnreg.threeap import (
+    APTriple,
     build_petal_candidates,
     canonical_split,
     capset_max_exhaustive,
@@ -135,6 +137,41 @@ def test_count_memory_budget_at_the_cap():
     assert out["growth_bytes"] <= 2.5 * out["N"] * 16
 
 
+# A fresh interpreter again; the sets' masks exist before the first reading.
+# ru_maxrss only rises, so the second reading bounds the peaks of both calls.
+_SCAN_PEAK_SCRIPT = """
+import json, resource
+from fpnreg.threeap import count_3aps_naive, find_nontrivial_3ap
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
+small = DenseSubset.full(SpaceDescriptor(5, 2))
+find_nontrivial_3ap(small), count_3aps_naive(small)
+space = SpaceDescriptor(5, 10)
+line, point = DenseSubset.from_members(space, [0, 1, 2]), DenseSubset.from_members(space, [space.N // 3])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t = find_nontrivial_3ap(line)
+mid = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+count = count_3aps_naive(point)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"N": space.N, "triple": [t.a, t.d], "count": count,
+                  "find_bytes": 1024 * (mid - before), "both_bytes": 1024 * (after - before)}))
+"""
+
+
+def test_progression_scan_memory_budget_at_the_cap():
+    """find_nontrivial_3ap and a one-member count_3aps_naive at 5^10 each
+    peak at most 16 N bytes above the masks."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCAN_PEAK_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["triple"] == [0, 1] and out["count"] == 1
+    assert out["find_bytes"] <= 16 * out["N"]
+    assert out["both_bytes"] <= 16 * out["N"]
+
+
 class TestFindTriple:
     def test_canonical_first(self):
         t = find_nontrivial_3ap(DenseSubset.full(SP31))
@@ -150,8 +187,14 @@ class TestFindTriple:
     def test_absent_iff_zero_count(self, seed):
         gen = np.random.default_rng(seed)
         A = random_subset(SP32, gen, density=0.3)
-        absent = find_nontrivial_3ap(A) is None
-        assert absent == (count_3aps_naive(A, include_trivial=False) == 0)
+        triples = (APTriple(int(a), d) for a in A.members() for d in range(1, SP32.N))
+        first = next((t for t in triples if A.mask[list(t.terms(SP32))].all()), None)
+        count = count_3aps_naive(A, include_trivial=False)
+        assert find_nontrivial_3ap(A) == first
+        assert (first is None) == (count == 0)
+        with mock.patch.object(threeap, "_PAIR_BLOCK", 2 * SP32.n):  # two differences per block
+            assert find_nontrivial_3ap(A) == first
+            assert count_3aps_naive(A, include_trivial=False) == count
 
 
 class TestCapset:
