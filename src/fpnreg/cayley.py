@@ -5,6 +5,11 @@ G_A has an edge (v1, v2) whenever v2 - v1 lies in A, making it |A|-regular.
 Edge counts come either from a direct pair scan or from the spectral identity
 e(X, Y) = N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); certificates bound the
 worst-case edge discrepancy through sup |Ahat| over nontrivial frequencies.
+
+The direct scan and the midpoint petal graph each look a mask up at a*x + b*y
+for every pair (x, y): vectorspace._pair_index computes those flat indices
+digit-wise, without digit tables, in runs of about _PAIR_BLOCK digit entries
+(the flower search in threeap uses it too).
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ from .vectorspace import (
     SubspaceBasis,
     _check_index,
     _digit_reversal,
-    _weights,
+    _pair_index,
+    _pair_runs,
     localized_count,
     same_space,
 )
-
-_PAIR_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -58,17 +62,12 @@ class CayleyGraph:
 
 
 def _scan(mask: np.ndarray, space: SpaceDescriptor, outer: np.ndarray, inner: np.ndarray, sign: int) -> int:
-    """sum over o in outer, i in inner of mask[i + sign*o], blockwise."""
-    if len(outer) == 0 or len(inner) == 0:
-        return 0
-    total = 0
-    idig = space.digits(inner)
-    block = max(1, _PAIR_BLOCK // max(len(inner), 1))
-    for lo in range(0, len(outer), block):
-        odig = space.digits(outer[lo : lo + block])
-        idx = space.index((idig[None, :, :] + sign * odig[:, None, :]) % space.p)
-        total += int(mask[idx].sum())
-    return total
+    """sum over o in outer, i in inner of mask[sign*o + i], in runs of outer."""
+    p, n = space.p, space.n
+    return sum(
+        int(np.count_nonzero(mask[_pair_index(p, n, outer[run], inner, sign, 1)]))
+        for run in _pair_runs(len(outer), len(inner), n)
+    )
 
 
 def edge_count_direct(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> int:
@@ -256,8 +255,10 @@ def pair_density_check(
     cnt = localized_count(A, H, diff)
     expected = cnt / H.size
     min_size = math.ceil(eps ** (1 / 3) * H.size)
-    hi_elems = space.add(H.elements(), vi)
-    hj_elems = space.add(H.elements(), vj)
+    # vi + h_c = h_c - (-vi): the localization gather, read in H.elements() order
+    rev = _digit_reversal(space.p, H.dim)
+    hi_elems = H._localization(int(space.neg(vi)))[rev, 0]
+    hj_elems = H._localization(int(space.neg(vj)))[rev, 0]
 
     max_ratio = 0.0
     for trial in range(samples):
@@ -291,29 +292,25 @@ class PetalGraph:
     over all of H - w as either end runs over its side.  So the graph is a
     Cayley graph of H and every vertex on either side has degree
     |A_H^w| = |(A + w) ^ H|; it has u |A_H^w| edges.  One localized row
-    row[c] = [h_c - w in A] decides every edge: h_i has the coefficient index
-    c_i = _digit_reversal(p, dim)[i], and the midpoint's coefficient digits
-    are inv2 (c_i + c_j) mod p.
+    row[k] = [h_k - w in A], in position order, decides every edge: h_i has
+    the coefficient index _digit_reversal(p, dim)[i], and a digit reversal
+    commutes with digit-wise sums, so the midpoint of (i, j) is position
+    inv2 (i + j), digit-wise mod p.
     """
 
     def __init__(self, generator: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
         space = same_space(generator, H)
-        p = space.p
         self.generator = generator
         self.H = H
         self.v1 = int(_check_index(space, v1))
         self.v2 = int(_check_index(space, v2))
         self.space = space
         self.u = H.size
-        self._weights = _weights(p, H.dim)
-        coeff_index = _digit_reversal(p, H.dim)
-        coeffs = (coeff_index[:, None] // self._weights) % p
-        self._left = H._localization(self.v1)[coeff_index, 0]
-        self._right = H._localization(self.v2)[coeff_index, 0]
-        # inv2 (a + b) = inv2 a + inv2 b, so each side is halved once here
-        self._half = space.inv2 * coeffs % p
+        rev = _digit_reversal(space.p, H.dim)
+        self._left = H._localization(self.v1)[rev, 0]
+        self._right = H._localization(self.v2)[rev, 0]
         w = int(space.smul(space.inv2, space.add(self.v1, self.v2)))
-        self._row = generator.mask[H._localization(w)[:, 0]]
+        self._row = generator.mask[H._localization(w)[rev, 0]]
         self._degree = int(self._row.sum())
 
     def left_points(self) -> np.ndarray:
@@ -324,19 +321,15 @@ class PetalGraph:
 
     def _edge_block(self, lpos, rpos) -> np.ndarray:
         """Boolean adjacency block for positions lpos x rpos."""
-        hl = self._half[np.asarray(lpos, dtype=np.int64)]
-        hr = self._half[np.asarray(rpos, dtype=np.int64)]
-        mid = (hl[:, None, :] + hr[None, :, :]) % self.space.p
-        return self._row[mid @ self._weights]
+        inv2 = self.space.inv2
+        return self._row[_pair_index(self.space.p, self.H.dim, lpos, rpos, inv2, inv2)]
 
     def _blocks(self, lpos, rpos):
-        """_edge_block over lpos x rpos, lpos cut into chunks of about
-        _PAIR_BLOCK digit entries."""
+        """_edge_block over lpos x rpos, lpos cut into _pair_runs."""
         lpos = np.asarray(lpos, dtype=np.int64)
         rpos = np.asarray(rpos, dtype=np.int64)
-        step = max(1, _PAIR_BLOCK // max(len(rpos) * self.H.dim, 1))
-        for lo in range(0, len(lpos), step):
-            yield self._edge_block(lpos[lo : lo + step], rpos)
+        for run in _pair_runs(len(lpos), len(rpos), self.H.dim):
+            yield self._edge_block(lpos[run], rpos)
 
     def edges_between(self, lpos, rpos) -> int:
         return sum(int(block.sum()) for block in self._blocks(lpos, rpos))

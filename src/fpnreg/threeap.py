@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import _PAIR_BLOCK
 from .errors import InputError
 from .fourier import full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
@@ -25,7 +24,10 @@ from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
+    _PAIR_BLOCK,
     _dilate,
+    _pair_index,
+    _pair_runs,
     same_space,
 )
 
@@ -121,44 +123,21 @@ def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:
 # ---------------------------------------------------------------------------
 
 
-def _ap_sets_gf3(space: SpaceDescriptor) -> list[int]:
-    """All nontrivial AP supports as bit masks (p = 3: x+y+z = 0 triples)."""
-    seen = set()
-    for a in range(space.N):
-        for d in range(1, space.N):
-            t = (a, int(space.add(a, d)), int(space.add(a, space.smul(2, d))))
-            seen.add((1 << t[0]) | (1 << t[1]) | (1 << t[2]))
-    return sorted(seen)
-
-
 def capset_max_exhaustive(p: int, n: int) -> tuple[int, DenseSubset]:
     """Maximum size of a 3AP-free subset of F_3^n with one witness.
 
-    n <= 2 runs the full 2^N subset sweep; n = 3 uses pruned backtracking.
+    Depth-first search in ascending index order, pruned by the size bound;
+    the first set of each larger size is kept.  Adding w after s, t is
+    blocked when s + t + w = 0 (in F_3 every permutation of an AP is an AP).
     """
     if p != 3:
         raise InputError("the cap-set oracle is defined over F_3 only")
     if n not in (1, 2, 3):
         raise InputError(f"cap-set search caps at n = 3, got n = {n}")
     space = SpaceDescriptor(3, n)
-    if n <= 2:
-        aps = _ap_sets_gf3(space)
-        best_size, best_mask = 0, 0
-        for m in range(1 << space.N):
-            size = m.bit_count()
-            if size <= best_size:
-                continue
-            if all((m & ap) != ap for ap in aps):
-                best_size, best_mask = size, m
-        members = [i for i in range(space.N) if (best_mask >> i) & 1]
-        return best_size, DenseSubset.from_members(space, members)
-
-    # n = 3: DFS in ascending index order; adding w after s, t is blocked
-    # when s + t + w = 0 (in F_3 every permutation of an AP is an AP).
     N = space.N
-    neg_sum = np.empty((N, N), dtype=np.int64)
-    for s in range(N):
-        neg_sum[s] = space.neg(space.add(s, np.arange(N, dtype=np.int64)))
+    everything = np.arange(N, dtype=np.int64)
+    neg_sum = _pair_index(3, n, everything, everything, -1, -1)
     best: list = [0, []]
     blocked = np.zeros(N, dtype=np.int64)
     chosen: list = []
@@ -398,36 +377,26 @@ def flower_find(
 
     # A coset's id is its rep's position in the ascending reps.  reps[k] has
     # digit k_r at the r-th free coordinate and 0 at every pivot, so the
-    # coset of 2c - u has id sum_r p^r ((2 c_r - u_r) mod p) in the digits
-    # of the ids.
-    p = space.p
-    weights = p ** np.arange(len(H.free), dtype=np.int64)
+    # coset of 2c - u has id flat(2 c - u) in the digits of the ids.
+    p, nfree = space.p, len(H.free)
     elig_ids = [np.flatnonzero(e) for e in eligible]
-    elig_digits = [(ids[:, None] // weights) % p for ids in elig_ids]
-
-    def midpoint_ids(i0, j0, lo, hi):
-        cd, ud = elig_digits[i0][lo:hi], elig_digits[j0]
-        return ((2 * cd[:, None, :] - ud[None, :, :]) % p) @ weights
-
-    def petal_mask(i0, j0, k0, lo, hi):
-        distinct = elig_ids[i0][lo:hi, None] != elig_ids[j0][None, :]
-        return eligible[k0][midpoint_ids(i0, j0, lo, hi)] & distinct
 
     # Maximize over (i0, j0, k0) and then centers in ascending order; the
     # first maximum wins, as a strict comparison in that loop order would.
     best = None  # (count, i0, j0, k0, center position)
     for i0 in range(m):
-        n_centers = len(elig_ids[i0])
+        centers = elig_ids[i0]
         for j0 in range(m):
-            if j0 == i0 or n_centers == 0 or len(elig_ids[j0]) == 0:
+            us = elig_ids[j0]
+            if j0 == i0 or len(centers) == 0 or len(us) == 0:
                 continue
             k0s = [k0 for k0 in range(m) if k0 not in (i0, j0) and len(elig_ids[k0])]
-            counts = np.zeros((m, n_centers), dtype=np.int64)
-            block = max(1, _PAIR_BLOCK // (len(elig_ids[j0]) * max(len(weights), 1)))
-            for lo in range(0, n_centers, block):
-                hi = min(lo + block, n_centers)
+            counts = np.zeros((m, len(centers)), dtype=np.int64)
+            for run in _pair_runs(len(centers), len(us), nfree):
+                mids = _pair_index(p, nfree, centers[run], us, 2, -1)
+                distinct = centers[run, None] != us
                 for k0 in k0s:
-                    counts[k0, lo:hi] = petal_mask(i0, j0, k0, lo, hi).sum(axis=1)
+                    counts[k0, run] = np.count_nonzero(eligible[k0][mids] & distinct, axis=1)
             for k0 in k0s:
                 at = int(np.argmax(counts[k0]))
                 cnt = int(counts[k0, at])
@@ -443,11 +412,11 @@ def flower_find(
         )
 
     cnt, i0, j0, k0, at = best
-    ok = petal_mask(i0, j0, k0, at, at + 1)[0]
-    us = reps[elig_ids[j0][ok]]
-    ws = reps[midpoint_ids(i0, j0, at, at + 1)[0][ok]]
-    center = int(reps[elig_ids[i0][at]])
-    petals = tuple(zip(us.tolist(), ws.tolist()))
+    c, us = elig_ids[i0][at], elig_ids[j0]
+    mids = _pair_index(p, nfree, elig_ids[i0][at : at + 1], us, 2, -1)[0]
+    ok = eligible[k0][mids] & (us != c)
+    center = int(reps[c])
+    petals = tuple(zip(reps[us[ok]].tolist(), reps[mids[ok]].tolist()))
     flower = Flower(
         H=H,
         parts=tuple(parts),

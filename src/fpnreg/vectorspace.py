@@ -206,6 +206,38 @@ def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
     return np.take(t, _digit_perm(p, low, c), axis=1).reshape(-1)
 
 
+# A pair-kernel run holds about this many digit entries.
+_PAIR_BLOCK = 1 << 22
+
+
+def _pair_runs(nx: int, ny: int, m: int) -> list:
+    """Slices cutting nx rows into runs of about _PAIR_BLOCK digit entries
+    against ny partners of m digits each, for _pair_index."""
+    step = max(1, _PAIR_BLOCK // max(ny * m, 1))
+    return [slice(lo, lo + step) for lo in range(0, nx, step)]
+
+
+def _pair_index(p: int, m: int, x: np.ndarray, y: np.ndarray, a: int, b: int) -> np.ndarray:
+    """flat(a*x_i + b*y_j) for the flat indices x, y of the (p,)*m digit
+    tensor, the sum taken digit-wise mod p; shape (len(x), len(y)).
+
+    With u = a*x and v = b*y digit-wise, digit i of u + v wraps when
+    u_i >= p - v_i and then loses p at weight p^i, so
+
+        flat(u + v) = flat(u) + flat(v) - sum_i p^(i+1) [u_i >= p - v_i].
+
+    Only the wrap test is per pair and per digit: an (m, len(x), len(y))
+    boolean array, which _pair_runs holds to about _PAIR_BLOCK entries.
+    """
+    w = _weights(p, m)
+    u = x // w[:, None] * (a % p) % p  # row i: digit i of a*x
+    v = y // w[:, None] * (b % p) % p
+    idx = np.einsum("i,ijk->jk", -p * w, u[:, :, None] >= (p - v)[:, None, :])
+    idx += (w @ u)[:, None]
+    idx += w @ v
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # Dense subsets
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fpnreg.cayley import (
 )
 from fpnreg.errors import ContractError, InputError
 from fpnreg.randmodel import sample_exact
+from fpnreg import vectorspace
 from fpnreg.rng import substream
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localized_count
 
@@ -67,6 +69,8 @@ class TestEdgeCounts:
         d = edge_count_direct(A, X, Y)
         assert round(edge_count_fourier(A, X, Y)) == d
         assert edge_count(A, X, Y) == d
+        with mock.patch.object(vectorspace, "_PAIR_BLOCK", 1):  # one row of pairs per run
+            assert edge_count_direct(A, X, Y) == d
 
     @pytest.mark.parametrize("p", PRIMES)
     @given(

@@ -194,17 +194,20 @@ SMALL = [(3, 4), (3, 5), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)]
     m=st.sampled_from([3, 4]),
     eps=st.sampled_from([0.2, 0.3, 0.5, 0.7, 0.9]),
     alpha=st.sampled_from([0.5, 1.0]),
+    block=st.sampled_from([None, 1]),
 )
-@example(pn=(7, 3), seed=0, union=False, m=3, eps=0.9, alpha=1.0)  # triple_overlap, u = c excluded
-@example(pn=(3, 4), seed=9, union=False, m=3, eps=0.7, alpha=0.5)  # an id held by two parts
-def test_flower_find_matches_nested_loop(pn, seed, union, m, eps, alpha):
+@example(pn=(7, 3), seed=0, union=False, m=3, eps=0.9, alpha=1.0, block=None)  # triple_overlap, u = c excluded
+@example(pn=(3, 4), seed=9, union=False, m=3, eps=0.7, alpha=0.5, block=None)  # an id held by two parts
+@example(pn=(7, 3), seed=0, union=False, m=3, eps=0.9, alpha=1.0, block=1)  # one center per run
+def test_flower_find_matches_nested_loop(pn, seed, union, m, eps, alpha, block):
     space = SpaceDescriptor(*pn)
     gen = np.random.default_rng(seed)
     if union:
         A = coset_union(space, int(gen.integers(1, space.n)), gen)
     else:
         A = DenseSubset(space, gen.random(space.N) < gen.uniform(0.2, 0.95))
-    check_against_oracle(flower_find(A, m, eps, alpha), alpha)
+    with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
+        check_against_oracle(flower_find(A, m, eps, alpha), alpha)
 
 
 def test_flower_find_tie_break_matches_nested_loop():
@@ -226,12 +229,13 @@ def test_flower_find_tie_break_matches_nested_loop():
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@given(**cases, density=st.sampled_from([0.0, 0.3, 1.0]))
-@example(n=1, dim=0, seed=0, density=0.3)  # n = 1, zero subspace
-@example(n=1, dim=1, seed=0, density=0.3)  # n = 1, full space
-@example(n=3, dim=0, seed=1, density=0.3)  # zero subspace
-@example(n=3, dim=6, seed=1, density=0.3)  # full space
-def test_petal_graph_matches_codec(p, n, dim, seed, density):
+@given(**cases, density=st.sampled_from([0.0, 0.3, 1.0]), block=st.sampled_from([None, 1]))
+@example(n=1, dim=0, seed=0, density=0.3, block=None)  # n = 1, zero subspace
+@example(n=1, dim=1, seed=0, density=0.3, block=None)  # n = 1, full space
+@example(n=3, dim=0, seed=1, density=0.3, block=None)  # zero subspace
+@example(n=3, dim=6, seed=1, density=0.3, block=None)  # full space
+@example(n=3, dim=6, seed=1, density=0.3, block=1)  # one left position per run
+def test_petal_graph_matches_codec(p, n, dim, seed, density, block):
     space, H, gen = draw_case(p, n, dim, seed)
     A = DenseSubset(space, gen.random(space.N) < density)
     v1, v2 = (int(v) for v in gen.integers(0, space.N, size=2))
@@ -244,14 +248,15 @@ def test_petal_graph_matches_codec(p, n, dim, seed, density):
     rpos = gen.integers(0, u, size=int(gen.integers(1, u + 1)))
     sub = adj[np.ix_(lpos, rpos)]
     assert np.array_equal(pg._edge_block(lpos, rpos), sub)
-    assert pg.edges_between(lpos, rpos) == int(sub.sum())
-    assert pg.any_edge(lpos, rpos) == bool(sub.any())
     none = np.empty(0, dtype=np.int64)
-    assert pg.edges_between(none, rpos) == pg.edges_between(lpos, none) == 0
-    assert not pg.any_edge(none, rpos) and not pg.any_edge(lpos, none)
+    with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
+        assert pg.edges_between(lpos, rpos) == int(sub.sum())
+        assert pg.any_edge(lpos, rpos) == bool(sub.any())
+        assert pg.edges_between(none, rpos) == pg.edges_between(lpos, none) == 0
+        assert not pg.any_edge(none, rpos) and not pg.any_edge(lpos, none)
+        assert np.array_equal(pg.right_degrees_into(lpos), adj[lpos].sum(axis=0))
+        assert np.array_equal(pg.right_degrees_into(none), np.zeros(u, dtype=np.int64))
     assert np.array_equal(pg.left_degrees(), adj.sum(axis=1))
-    assert np.array_equal(pg.right_degrees_into(lpos), adj[lpos].sum(axis=0))
-    assert np.array_equal(pg.right_degrees_into(none), np.zeros(u, dtype=np.int64))
     assert pg.edge_count() == int(adj.sum())
     assert pg.density() == int(adj.sum()) / u**2
 
@@ -319,14 +324,22 @@ def test_each_refinement_costs_two_row_reductions(pn, monkeypatch):
 _BUDGET_SCRIPT = """
 import json, resource, sys
 import numpy as np
-from fpnreg.cayley import PetalGraph
+from fpnreg.cayley import PetalGraph, edge_count_direct
 from fpnreg.regularity import classify_vectors, energy, restricted_sup
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
+
+def pair(space):  # two sets of min(2000, N) points: the count scans X x Y
+    gen = np.random.default_rng(1)
+    k = min(2000, space.N)
+    return [DenseSubset.from_members(space, gen.choice(space.N, k, replace=False)) for _ in "XY"]
+
 ops = {
     "PetalGraph": lambda A, H: PetalGraph(A, H, A.space.N // 3, A.space.N - 7),
     "restricted_sup": lambda A, H: restricted_sup(A, H, A.space.N // 3),
     "classify_vectors": lambda A, H: classify_vectors(A, H, 0.2),
     "energy": energy,
+    "PetalGraph(H = V)": lambda A, H: PetalGraph(A, SubspaceBasis.full(A.space), A.space.N // 3, A.space.N - 7),
+    "edge_count_direct": lambda A, H: edge_count_direct(A, *pair(A.space)),
 }
 op = ops[sys.argv[1]]
 small = SpaceDescriptor(5, 3)
@@ -344,6 +357,23 @@ print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before)}))
 """
 
 
+def _peak_growth(op, p, n):
+    """(N, growth of ru_maxrss in bytes) of one op call at p^n, in a fresh
+    interpreter running _BUDGET_SCRIPT."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUDGET_SCRIPT, op, str(p), str(n)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out["N"], out["growth_bytes"]
+
+
 @pytest.mark.parametrize(
     "op, budget",
     [("PetalGraph", 1), ("restricted_sup", 1), ("classify_vectors", 4), ("energy", 4)],
@@ -351,16 +381,21 @@ print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before)}))
 def test_localization_memory_budget_at_the_cap(op, budget):
     """At 5^10 and 13^6 with a dim-3 H the call peaks at most budget * N
     bytes above the mask."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for p, n in ((5, 10), (13, 6)):
-        proc = subprocess.run(
-            [sys.executable, "-c", _BUDGET_SCRIPT, op, str(p), str(n)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert out["growth_bytes"] <= budget * out["N"], (p, n)
+        N, growth = _peak_growth(op, p, n)
+        assert growth <= budget * N, (p, n)
+
+
+@pytest.mark.parametrize("p, n", [(3, 12), (5, 8)])
+def test_petal_graph_on_the_whole_space_memory_budget(p, n):
+    """PetalGraph with H = V holds three localization rows and no digit
+    table: its construction peaks at most 64 N bytes above the mask."""
+    N, growth = _peak_growth("PetalGraph(H = V)", p, n)
+    assert growth <= 64 * N
+
+
+def test_direct_edge_count_memory_budget():
+    """The X x Y scan of 2000 x 2000 pairs at 5^8 against a density-1/2 A
+    peaks at most 100 MB above the mask: the pair kernel holds one run."""
+    _, growth = _peak_growth("edge_count_direct", 5, 8)
+    assert growth <= 100 * 2**20

@@ -13,6 +13,7 @@ from fpnreg.vectorspace import (
     basis_to_dict,
     coset_representatives,
     _dilate,
+    _pair_index,
     digits_to_index,
     index_to_digits,
     localize,
@@ -126,6 +127,33 @@ class TestGroupOps:
         idx = np.arange(space.N, dtype=np.int64)
         for c in range(1, p):  # c = p - 1 is negation
             assert np.array_equal(_dilate(idx, p, space.n, c), space.smul(c, idx))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(
+        m=st.integers(0, max(ORACLE_MAX_N.values())),
+        nx=st.integers(0, 6),
+        ny=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=0, nx=3, ny=2, seed=0)  # the one-point tensor
+    @example(m=1, nx=0, ny=4, seed=0)  # no x
+    @example(m=2, nx=4, ny=0, seed=0)  # no y
+    def test_pair_index_matches_codec(self, p, m, nx, ny, seed):
+        m = min(m, ORACLE_MAX_N[p])
+        gen = np.random.default_rng(seed)
+        x = gen.integers(0, p**m, size=nx)
+        y = gen.integers(0, p**m, size=ny)
+        for a in (-1, 1, 2, (p + 1) // 2):
+            for b in (-1, 1, 2, (p + 1) // 2):
+                got = _pair_index(p, m, x, y, a, b)
+                assert got.shape == (nx, ny)
+                if m == 0:
+                    assert not got.any()
+                    continue
+                space = SpaceDescriptor(p, m)
+                dx, dy = space.digits(x), space.digits(y)
+                want = space.index((a * dx[:, None, :] + b * dy[None, :, :]) % p)
+                assert np.array_equal(got, want)
 
     def test_space_mismatch(self):
         other = DenseSubset.full(SP33)
