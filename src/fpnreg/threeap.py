@@ -3,7 +3,9 @@
 Counting follows the ordered-(a, d) convention: the pair (a, d) contributes
 when a, a+d, a+2d all lie in the set, and d = 0 gives the |A| trivial pairs.
 The spectral count N^2 sum_xi conj(Ahat(xi))^2 Ahat(2xi) reproduces the naive
-count exactly after rounding.  The flower search splits A into parts,
+count exactly after rounding.  Deciding whether a set holds a nontrivial
+progression needs no count: a midpoint search over its pairs stops at the
+first pair x != z whose midpoint is a member.  The flower search splits A into parts,
 regularizes them jointly, collects dense regular coset representatives per
 part, and extracts the midpoint-centered progression family the quotient
 supports.
@@ -19,15 +21,18 @@ import numpy as np
 from .errors import InputError
 from .fourier import full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
-from .rng import sample_without_replacement, substream
+from .rng import substream
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
     _PAIR_BLOCK,
     _dilate,
+    _pair_digits,
     _pair_index,
     _pair_runs,
+    _pair_step,
+    _pair_sum,
     same_space,
 )
 
@@ -107,14 +112,45 @@ def count_3aps_fourier(A: DenseSubset) -> int:
     return rounded_count(total * float(space.N) ** 2, "3AP count")
 
 
+def _midpoint_hits(mask: np.ndarray, p: int, n: int, half: np.ndarray):
+    """(lo, hits) per block of rows over the members x_0 < ... < x_{k-1} of
+    the set with bit mask `mask`: hits[i, j] = [x_{lo+i} != x_j and
+    (x_{lo+i} + x_j)/2 lies in the set].  half holds the digits of inv2*x_j
+    (from _pair_digits), so the midpoint is their digit-wise sum.
+
+    Blocks of 1, 4, 16, ... rows run against all k members, each capped at
+    _pair_step rows, so a caller that stops at the first hit pays little
+    for a set full of progressions and the k^2 pairs for one without.  A
+    pair x != z with midpoint y in the set is the nontrivial progression x,
+    y, z, so a pass with no hit proves the set progression-free."""
+    k = half.shape[1]
+    lo, size, cap = 0, 1, _pair_step(k, n)
+    while lo < k:
+        hi = min(lo + min(size, cap), k)
+        hits = mask[_pair_sum(p, n, half[:, lo:hi], half)]
+        hits[np.arange(hi - lo), np.arange(lo, hi)] = False  # x = z is trivial
+        yield lo, hits
+        lo, size = hi, 4 * size
+
+
 def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:
-    """First nontrivial triple in (a, d)-lexicographic scan order, or None."""
-    for a, lo, hits in _progression_hits(A):
-        if lo == 0:
-            hits[0] = False  # d = 0 is the trivial progression
-        pos = np.flatnonzero(hits)
-        if pos.size:
-            return APTriple(a, lo + int(pos[0]))
+    """First nontrivial triple in (a, d)-lexicographic order, or None.
+
+    The triples from a are a, (a + z)/2, z for the members z != a whose
+    midpoint with a lies in A, with d = (z - a)/2.  The first a in ascending
+    order with such a z gives the triple, with the smallest of its d.  The
+    pair search costs at most |A|^2 pairs, in runs of about _PAIR_BLOCK
+    digit entries, whatever N is.
+    """
+    space = A.space
+    p, n, inv2 = space.p, space.n, space.inv2
+    members = A.members()
+    for lo, hits in _midpoint_hits(A.mask, p, n, _pair_digits(p, n, members, inv2)):
+        rows = np.flatnonzero(hits.any(axis=1))
+        if rows.size:
+            i = lo + int(rows[0])
+            ds = _pair_index(p, n, members[i : i + 1], members[hits[rows[0]]], -inv2, inv2)
+            return APTriple(int(members[i]), int(ds.min()))
     return None
 
 
@@ -182,6 +218,16 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
 
     Samples uniform ceil(alpha |R|)-subsets of R and reports the fraction
     lacking a nontrivial progression, with up to 10 witness subsets.
+
+    A pair search decides each trial: it looks for members x != z of the
+    subset whose midpoint (x + z)/2 is also a member, and stops at the first
+    hit.  R's members are halved and decoded into digits once per call; a
+    trial gathers the columns of its members.  A full pass over the k^2
+    pairs with no hit is an exact certificate that the subset is AP-free.
+    On every such trial the spectral count cross-checks the certificate,
+    and a disagreement raises AssertionError.  A trial's pair runs hold
+    about _PAIR_BLOCK digit entries, and a trial that hits builds no
+    transform, so a call peaks below 4 N bytes at the cap.
     """
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
@@ -190,23 +236,24 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
     k = math.ceil(alpha * R.card)
     if k > R.card:
         raise InputError(f"subset size {k} exceeds |R| = {R.card}")
-    members = R.members()
     space = R.space
+    p, n = space.p, space.n
+    members = R.members()  # ascending, so a sorted pick keeps members sorted
+    half = _pair_digits(p, n, members, space.inv2)
 
     failures = 0
     witnesses = []
     outcomes = []
     for t in range(trials):
-        gen = substream(seed, t)
-        sub = DenseSubset.from_members(space, sample_without_replacement(gen, members, k))
-        nontrivial = count_3aps_fourier(sub) - sub.card
-        ap_free = nontrivial == 0
+        pick = np.sort(substream(seed, t).choice(R.card, size=k, replace=False))
+        sub = DenseSubset.from_members(space, members[pick])
+        ap_free = not any(hits.any() for _, hits in _midpoint_hits(sub.mask, p, n, half[:, pick]))
         outcomes.append(1 if ap_free else 0)
         if ap_free:
+            if count_3aps_fourier(sub) != sub.card:
+                raise AssertionError("pair search and spectral count disagree on an AP-free trial")
             failures += 1
             if len(witnesses) < 10:
-                if find_nontrivial_3ap(sub) is not None:
-                    raise AssertionError("spectral count and scan disagree on a witness")
                 witnesses.append(tuple(int(x) for x in sub.members()))
     return DensityTestReport(
         alpha, k, trials, failures, failures / trials, tuple(witnesses), tuple(outcomes)

@@ -210,10 +210,15 @@ def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
 _PAIR_BLOCK = 1 << 22
 
 
+def _pair_step(ny: int, m: int) -> int:
+    """Rows per run of about _PAIR_BLOCK digit entries against ny partners
+    of m digits each."""
+    return max(1, _PAIR_BLOCK // max(ny * m, 1))
+
+
 def _pair_runs(nx: int, ny: int, m: int) -> list:
-    """Slices cutting nx rows into runs of about _PAIR_BLOCK digit entries
-    against ny partners of m digits each, for _pair_index."""
-    step = max(1, _PAIR_BLOCK // max(ny * m, 1))
+    """Slices cutting nx rows into runs of _pair_step rows, for _pair_index."""
+    step = _pair_step(ny, m)
     return [slice(lo, lo + step) for lo in range(0, nx, step)]
 
 
@@ -221,17 +226,32 @@ def _pair_index(p: int, m: int, x: np.ndarray, y: np.ndarray, a: int, b: int) ->
     """flat(a*x_i + b*y_j) for the flat indices x, y of the (p,)*m digit
     tensor, the sum taken digit-wise mod p; shape (len(x), len(y)).
 
-    With u = a*x and v = b*y digit-wise, digit i of u + v wraps when
-    u_i >= p - v_i and then loses p at weight p^i, so
+    The composition of _pair_digits, which decodes each side once, and
+    _pair_sum, which does the per-pair work.
+    """
+    return _pair_sum(p, m, _pair_digits(p, m, x, a), _pair_digits(p, m, y, b))
+
+
+def _pair_digits(p: int, m: int, x: np.ndarray, a: int) -> np.ndarray:
+    """The digits of a*x for the flat indices x: row i is digit i, shape
+    (m, len(x))."""
+    w = _weights(p, m)
+    return x // w[:, None] * (a % p) % p
+
+
+def _pair_sum(p: int, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """flat(u_i + v_j) for digit columns u (m, nx) and v (m, ny), the sum
+    taken digit-wise mod p; shape (nx, ny).
+
+    Digit i of u + v wraps when u_i >= p - v_i and then loses p at weight
+    p^i, so
 
         flat(u + v) = flat(u) + flat(v) - sum_i p^(i+1) [u_i >= p - v_i].
 
-    Only the wrap test is per pair and per digit: an (m, len(x), len(y))
-    boolean array, which _pair_runs holds to about _PAIR_BLOCK entries.
+    Only the wrap test is per pair and per digit: an (m, nx, ny) boolean
+    array, which _pair_runs holds to about _PAIR_BLOCK entries.
     """
     w = _weights(p, m)
-    u = x // w[:, None] * (a % p) % p  # row i: digit i of a*x
-    v = y // w[:, None] * (b % p) % p
     idx = np.einsum("i,ijk->jk", -p * w, u[:, :, None] >= (p - v)[:, None, :])
     idx += (w @ u)[:, None]
     idx += w @ v

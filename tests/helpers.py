@@ -2,11 +2,17 @@
 
 Everything here is deliberately naive: literal double sums for transforms,
 O(|H|^2) convolution, and a from-scratch flower validator that only touches
-vectorspace/fourier primitives, never the search code under test.
+vectorspace/fourier primitives, never the search code under test.  The
+memory-budget harness at the end runs one call in a fresh interpreter.
 """
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -292,3 +298,50 @@ def petal_search_oracle(report, alpha: float):
     best = next(f for f in found if f[0] == top)
     ties = sum(1 for f in found if f[0] == top)
     return case, len(b_set), tuple(len(e) for e in eligible), best, ties
+
+
+# ---------------------------------------------------------------------------
+# Memory budgets
+# ---------------------------------------------------------------------------
+
+
+# Prepended to every memory-budget script.  measure(call) reads one call's
+# peak two ways: the growth of ru_maxrss, which reads 0 for a peak below the
+# process's earlier high-water mark, and tracemalloc's peak, which sees every
+# numpy buffer but no memory outside Python's allocators.  A budget holds
+# against the larger of the two (peak_bytes).
+PEAK_PRELUDE = """
+import json, resource, sys, tracemalloc
+
+
+def measure(call):
+    tracemalloc.start()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    result = call()
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return result, {"rss_bytes": 1024 * (after - before), "traced_bytes": traced}
+"""
+
+
+def run_peak_script(script: str, *args) -> dict:
+    """The JSON object on the last stdout line of PEAK_PRELUDE + script, run
+    with args as sys.argv[1:] in a fresh interpreter that imports this
+    checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PRELUDE + script, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def peak_bytes(reading: dict) -> int:
+    """The larger of a measure() reading's ru_maxrss growth and traced peak."""
+    return max(reading["rss_bytes"], reading["traced_bytes"])

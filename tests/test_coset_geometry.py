@@ -7,11 +7,6 @@ checked against a literal nested loop over (i0, j0, k0, center, petal), and
 the midpoint petal graph against decoded midpoints of every pair.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,8 +42,10 @@ from helpers import (
     coset_system_oracle,
     localization_rows_oracle,
     localized_counts_oracle,
+    peak_bytes,
     petal_graph_oracle,
     petal_search_oracle,
+    run_peak_script,
 )
 
 
@@ -317,12 +314,10 @@ def test_each_refinement_costs_two_row_reductions(pn, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-# Runs in a fresh interpreter per operation and space, so ru_maxrss before
-# the call is the mask's process and the growth is the call's own peak.  A
-# warm-up call at 5^3 loads what the operation imports; the mask comes from
-# uint8 draws.
+# Runs in a fresh interpreter per operation and space (helpers.PEAK_PRELUDE
+# supplies measure).  A warm-up call at 5^3 loads what the operation imports;
+# the mask comes from uint8 draws.
 _BUDGET_SCRIPT = """
-import json, resource, sys
 import numpy as np
 from fpnreg.cayley import PetalGraph, edge_count_direct
 from fpnreg.regularity import classify_vectors, energy, restricted_sup
@@ -350,28 +345,16 @@ H = SubspaceBasis.from_rows(space, gen.integers(0, space.p, size=(3, space.n)))
 assert H.dim == 3
 bits = gen.integers(0, 2, size=space.N, dtype=np.uint8)
 A = DenseSubset(space, bits.view(bool))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-op(A, H)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before)}))
+_, reading = measure(lambda: op(A, H))
+print(json.dumps({"N": space.N, **reading}))
 """
 
 
-def _peak_growth(op, p, n):
-    """(N, growth of ru_maxrss in bytes) of one op call at p^n, in a fresh
+def _peak(op, p, n):
+    """(N, peak bytes) of one op call at p^n above the mask, in a fresh
     interpreter running _BUDGET_SCRIPT."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _BUDGET_SCRIPT, op, str(p), str(n)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    return out["N"], out["growth_bytes"]
+    out = run_peak_script(_BUDGET_SCRIPT, op, p, n)
+    return out["N"], peak_bytes(out)
 
 
 @pytest.mark.parametrize(
@@ -382,20 +365,20 @@ def test_localization_memory_budget_at_the_cap(op, budget):
     """At 5^10 and 13^6 with a dim-3 H the call peaks at most budget * N
     bytes above the mask."""
     for p, n in ((5, 10), (13, 6)):
-        N, growth = _peak_growth(op, p, n)
-        assert growth <= budget * N, (p, n)
+        N, peak = _peak(op, p, n)
+        assert peak <= budget * N, (p, n)
 
 
 @pytest.mark.parametrize("p, n", [(3, 12), (5, 8)])
 def test_petal_graph_on_the_whole_space_memory_budget(p, n):
     """PetalGraph with H = V holds three localization rows and no digit
     table: its construction peaks at most 64 N bytes above the mask."""
-    N, growth = _peak_growth("PetalGraph(H = V)", p, n)
-    assert growth <= 64 * N
+    N, peak = _peak("PetalGraph(H = V)", p, n)
+    assert peak <= 64 * N
 
 
 def test_direct_edge_count_memory_budget():
     """The X x Y scan of 2000 x 2000 pairs at 5^8 against a density-1/2 A
     peaks at most 100 MB above the mask: the pair kernel holds one run."""
-    _, growth = _peak_growth("edge_count_direct", 5, 8)
-    assert growth <= 100 * 2**20
+    _, peak = _peak("edge_count_direct", 5, 8)
+    assert peak <= 100 * 2**20

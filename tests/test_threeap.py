@@ -1,8 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fpnreg.threeap as threeap
+import fpnreg.vectorspace as vectorspace
 from fpnreg.errors import ContractError, InputError
 from fpnreg.randmodel import sample_exact
 from fpnreg.rng import substream
@@ -26,9 +22,18 @@ from fpnreg.threeap import (
     flower_from_dict,
     flower_to_dict,
 )
-from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, _pair_digits
 
-from helpers import ORACLE_MAX_N, PRIMES, SUBSET_KINDS, random_subset, subset_of_kind, validate_flower
+from helpers import (
+    ORACLE_MAX_N,
+    PRIMES,
+    SUBSET_KINDS,
+    peak_bytes,
+    random_subset,
+    run_peak_script,
+    subset_of_kind,
+    validate_flower,
+)
 
 SP31 = SpaceDescriptor(3, 1)
 SP32 = SpaceDescriptor(3, 2)
@@ -108,11 +113,9 @@ class TestCounting:
             assert count_3aps_fourier(A) == count_3aps_naive(A)
 
 
-# Runs in a fresh interpreter, so ru_maxrss before the call is the mask's
-# process and the growth is the call's own peak.  The mask comes from uint8
-# draws, with no N-sized float temporary to raise the baseline.
+# Runs in a fresh interpreter (helpers.PEAK_PRELUDE supplies measure).  The
+# mask comes from uint8 draws, with no N-sized float temporary.
 _PEAK_SCRIPT = """
-import json, resource
 import numpy as np
 from fpnreg.threeap import count_3aps_fourier
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
@@ -120,56 +123,63 @@ count_3aps_fourier(DenseSubset.full(SpaceDescriptor(5, 2)))
 space = SpaceDescriptor(5, 10)
 bits = np.random.default_rng(0).integers(0, 2, size=space.N, dtype=np.uint8)
 A = DenseSubset(space, bits.view(bool))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-count_3aps_fourier(A)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"N": space.N, "growth_bytes": 1024 * (after - before)}))
+_, reading = measure(lambda: count_3aps_fourier(A))
+print(json.dumps({"N": space.N, **reading}))
 """
 
 
 def test_count_memory_budget_at_the_cap():
     """count_3aps_fourier at 5^10 peaks at most 2.5 N*16 bytes above the mask."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["growth_bytes"] <= 2.5 * out["N"] * 16
+    out = run_peak_script(_PEAK_SCRIPT)
+    assert peak_bytes(out) <= 2.5 * out["N"] * 16
 
 
 # A fresh interpreter again; the sets' masks exist before the first reading.
-# ru_maxrss only rises, so the second reading bounds the peaks of both calls.
 _SCAN_PEAK_SCRIPT = """
-import json, resource
 from fpnreg.threeap import count_3aps_naive, find_nontrivial_3ap
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
 small = DenseSubset.full(SpaceDescriptor(5, 2))
 find_nontrivial_3ap(small), count_3aps_naive(small)
 space = SpaceDescriptor(5, 10)
 line, point = DenseSubset.from_members(space, [0, 1, 2]), DenseSubset.from_members(space, [space.N // 3])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-t = find_nontrivial_3ap(line)
-mid = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-count = count_3aps_naive(point)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"N": space.N, "triple": [t.a, t.d], "count": count,
-                  "find_bytes": 1024 * (mid - before), "both_bytes": 1024 * (after - before)}))
+t, find = measure(lambda: find_nontrivial_3ap(line))
+count, naive = measure(lambda: count_3aps_naive(point))
+print(json.dumps({"N": space.N, "triple": [t.a, t.d], "count": count, "find": find, "naive": naive}))
 """
 
 
 def test_progression_scan_memory_budget_at_the_cap():
     """find_nontrivial_3ap and a one-member count_3aps_naive at 5^10 each
     peak at most 16 N bytes above the masks."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCAN_PEAK_SCRIPT], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = run_peak_script(_SCAN_PEAK_SCRIPT)
     assert out["triple"] == [0, 1] and out["count"] == 1
-    assert out["find_bytes"] <= 16 * out["N"]
-    assert out["both_bytes"] <= 16 * out["N"]
+    assert peak_bytes(out["find"]) <= 16 * out["N"]
+    assert peak_bytes(out["naive"]) <= 16 * out["N"]
+
+
+# R (r = 10 sqrt(N) points) exists before the reading; the trial hits.
+_DENSITY_PEAK_SCRIPT = """
+import math
+from fpnreg.randmodel import sample_exact
+from fpnreg.threeap import density_test
+from fpnreg.vectorspace import SpaceDescriptor
+density_test(sample_exact(SpaceDescriptor(5, 3), 100, 0), 0.5, 1, 0)
+space = SpaceDescriptor(int(sys.argv[1]), int(sys.argv[2]))
+R = sample_exact(space, int(10 * math.sqrt(space.N)), 3)
+R.members()
+rep, reading = measure(lambda: density_test(R, 0.5, 1, 4))
+print(json.dumps({"N": space.N, "outcomes": list(rep.outcomes), **reading}))
+"""
+
+
+@pytest.mark.parametrize("p, n", [(5, 10), (13, 6)])
+def test_density_test_memory_budget_at_the_cap(p, n):
+    """One density_test trial that hits, on r = 10 sqrt(N) points with
+    alpha = 1/2, peaks at most 4 N bytes above R: the subset's mask and one
+    run of the pair search, no transform."""
+    out = run_peak_script(_DENSITY_PEAK_SCRIPT, p, n)
+    assert out["outcomes"] == [0]
+    assert peak_bytes(out) <= 4 * out["N"]
 
 
 class TestFindTriple:
@@ -192,7 +202,10 @@ class TestFindTriple:
         count = count_3aps_naive(A, include_trivial=False)
         assert find_nontrivial_3ap(A) == first
         assert (first is None) == (count == 0)
-        with mock.patch.object(threeap, "_PAIR_BLOCK", 2 * SP32.n):  # two differences per block
+        with (
+            mock.patch.object(threeap, "_PAIR_BLOCK", 2 * SP32.n),  # two differences per block
+            mock.patch.object(vectorspace, "_PAIR_BLOCK", 1),  # one member per pair run
+        ):
             assert find_nontrivial_3ap(A) == first
             assert count_3aps_naive(A, include_trivial=False) == count
 
@@ -246,6 +259,85 @@ class TestDensityTest:
         a = density_test(CAP4, 0.75, 10, 3)
         b = density_test(CAP4, 0.75, 10, 3)
         assert a == b
+
+    def test_only_ap_free_trials_transform(self, monkeypatch):
+        # a trial the pair search decides by a hit runs no spectral count;
+        # each AP-free trial runs one as its cross-check
+        calls = []
+        exact = threeap.full_spectrum
+        monkeypatch.setattr(threeap, "full_spectrum", lambda space, v: calls.append(space) or exact(space, v))
+        density_test(DenseSubset.full(SP32), 1.0, 5, 1)
+        assert calls == []
+        density_test(CAP4, 1.0, 6, 1)
+        assert calls == [SP32] * 6
+
+    def test_cross_check_catches_a_wrong_certificate(self, monkeypatch):
+        monkeypatch.setattr(threeap, "count_3aps_fourier", lambda A: A.card + 2)
+        with pytest.raises(AssertionError):
+            density_test(CAP4, 1.0, 1, 1)
+
+
+def _decide(A: DenseSubset) -> tuple[bool, np.ndarray]:
+    """density_test's decision on A (a hit anywhere) and the hit rows of the
+    full pass, stacked in order."""
+    space = A.space
+    half = _pair_digits(space.p, space.n, A.members(), space.inv2)
+    k, cap = A.card, vectorspace._pair_step(A.card, space.n)
+    at, rows = 0, [np.zeros((0, k), dtype=bool)]
+    for i, (lo, hits) in enumerate(threeap._midpoint_hits(A.mask, space.p, space.n, half)):
+        assert lo == at and len(hits) == min(4**i, cap, k - lo)  # blocks of 1, 4, 16, ... rows
+        at += len(hits)
+        rows.append(hits)
+    hits = np.concatenate(rows)
+    assert hits.shape == (k, k)
+    return bool(hits.any()), hits
+
+
+def _check_decider(A: DenseSubset):
+    """The pair search hits iff A holds a nontrivial 3AP, and its hits are the
+    decoded midpoints of every pair x != z; also in one-row runs, and through
+    density_test on the whole of A."""
+    space = A.space
+    has_ap = count_3aps_naive(A, include_trivial=False) > 0
+    members = A.members()
+    dx = space.digits(members)
+    mids = space.index((dx[:, None, :] + dx[None, :, :]) * space.inv2 % space.p)
+    want = A.mask[mids] & ~np.eye(A.card, dtype=bool)
+    for block in (None, 1):
+        with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
+            hit, hits = _decide(A)
+            assert hit == has_ap
+            assert np.array_equal(hits, want)
+            assert density_test(A, 1.0, 1, 0).outcomes == (int(not has_ap),)
+
+
+class TestDecider:
+    @pytest.mark.parametrize(
+        "A",
+        [
+            DenseSubset.empty(SP32),
+            DenseSubset.from_members(SP32, [5]),
+            CAP4,
+            DenseSubset.full(SP32),
+            DenseSubset.full(SP31),
+            DenseSubset.from_members(SP31, [0, 2]),
+            DenseSubset.from_members(SpaceDescriptor(13, 1), [1, 4, 7]),
+        ],
+        ids=["empty", "point", "cap4", "full", "n1-full", "n1-pair", "n1-line"],
+    )
+    def test_explicit_sets(self, A):
+        _check_decider(A)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(
+        n=st.integers(1, max(ORACLE_MAX_N.values())),
+        density=st.sampled_from([0.02, 0.05, 0.1, 0.3]),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=15)
+    def test_agrees_with_naive_count(self, p, n, density, seed):
+        space = SpaceDescriptor(p, min(n, ORACLE_MAX_N[p]))
+        _check_decider(DenseSubset(space, np.random.default_rng(seed).random(space.N) < density))
 
 
 class TestCanonicalSplit:
