@@ -5,10 +5,10 @@ when a, a+d, a+2d all lie in the set, and d = 0 gives the |A| trivial pairs.
 The spectral count N^2 sum_xi conj(Ahat(xi))^2 Ahat(2xi) reproduces the naive
 count exactly after rounding.  Deciding whether a set holds a nontrivial
 progression needs no count: a midpoint search over its pairs stops at the
-first pair x != z whose midpoint is a member.  The flower search splits A into parts,
-regularizes them jointly, collects dense regular coset representatives per
-part, and extracts the midpoint-centered progression family the quotient
-supports.
+first pair x != z whose midpoint is a member.  The flower search splits A
+into parts, regularizes them jointly, collects dense regular coset
+representatives per part, and extracts the midpoint-centered progression
+family the quotient supports.
 """
 
 from __future__ import annotations
@@ -226,8 +226,9 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
     pairs with no hit is an exact certificate that the subset is AP-free.
     On every such trial the spectral count cross-checks the certificate,
     and a disagreement raises AssertionError.  A trial's pair runs hold
-    about _PAIR_BLOCK digit entries, and a trial that hits builds no
-    transform, so a call peaks below 4 N bytes at the cap.
+    about _PAIR_BLOCK digit entries and a trial that hits builds no
+    transform, so at the cap (r = 10 sqrt(N), alpha = 1/2) a hit trial
+    peaks below 4 N bytes above R.
     """
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
