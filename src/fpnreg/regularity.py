@@ -362,11 +362,11 @@ def regularize_multi(parts, eps: float, alpha: float, floor: int = 1) -> Regular
         raise InputError("need at least one part")
     _validate_params(eps, alpha, floor)
     same_space(*parts)
-    total = np.zeros(parts[0].space.N, dtype=np.int64)
+    union = np.zeros(parts[0].space.N, dtype=bool)
     for A in parts:
-        total += A.mask
-    if int(total.max(initial=0)) > 1:
-        raise InputError("parts must be pairwise disjoint")
+        if (union & A.mask).any():
+            raise InputError("parts must be pairwise disjoint")
+        union |= A.mask
     return _iterate(parts, eps, alpha, floor, len(parts))
 
 

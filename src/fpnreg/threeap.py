@@ -2,13 +2,15 @@
 
 Counting follows the ordered-(a, d) convention: the pair (a, d) contributes
 when a, a+d, a+2d all lie in the set, and d = 0 gives the |A| trivial pairs.
-The spectral count N^2 sum_xi conj(Ahat(xi))^2 Ahat(2xi) reproduces the naive
-count exactly after rounding.  Deciding whether a set holds a nontrivial
-progression needs no count: a midpoint search over its pairs stops at the
-first pair x != z whose midpoint is a member.  The flower search splits A
-into parts, regularizes them jointly, collects dense regular coset
-representatives per part, and extracts the midpoint-centered progression
-family the quotient supports.
+The exhaustive count and the decision both run one midpoint search over
+member pairs: a pair x != z whose midpoint is a member is the nontrivial
+progression x, (x + z)/2, z.  The count runs it over all |A|^2 pairs,
+holding 8 n |A| bytes of halved member digits and one pair run; deciding
+stops at the first hit.  The spectral count N^2 sum_xi conj(Ahat(xi))^2
+Ahat(2xi) reproduces the exhaustive count exactly after rounding.  The
+flower search splits A into parts, regularizes them jointly, collects
+dense regular coset representatives per part, and extracts the
+midpoint-centered progression family the quotient supports.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
-    _PAIR_BLOCK,
     _dilate,
     _pair_digits,
     _pair_index,
@@ -58,32 +59,6 @@ class APTriple:
 # ---------------------------------------------------------------------------
 # Counting
 # ---------------------------------------------------------------------------
-
-
-def _progression_hits(A: DenseSubset):
-    """(a, lo, hits) per member a and block of differences d = lo + t, in
-    (a, d)-lexicographic order: hits[t] = [a + d and a + 2d lie in A].  A
-    block decodes about _PAIR_BLOCK digits, so memory does not grow with N."""
-    space, p, N = A.space, A.space.p, A.space.N
-    step = max(1, _PAIR_BLOCK // space.n)
-    for a in A.members():
-        ad = space.digits(int(a))
-        for lo in range(0, N, step):
-            dd = space.digits(np.arange(lo, min(lo + step, N), dtype=np.int64))
-            t = dd + ad
-            t %= p
-            hits = A.mask[space.index(t)]
-            t += dd
-            t %= p
-            hits &= A.mask[space.index(t)]
-            del dd, t  # freed before the next block is decoded
-            yield int(a), lo, hits
-
-
-def count_3aps_naive(A: DenseSubset, include_trivial: bool = True) -> int:
-    """Exhaustive count of (a, d) pairs with a, a+d, a+2d in A."""
-    total = sum(int(hits.sum()) for _, _, hits in _progression_hits(A))
-    return total if include_trivial else total - A.card
 
 
 def count_3aps_fourier(A: DenseSubset) -> int:
@@ -133,6 +108,29 @@ def _midpoint_hits(mask: np.ndarray, p: int, n: int, half: np.ndarray):
         lo, size = hi, 4 * size
 
 
+def _member_hits(A: DenseSubset):
+    """A's members, ascending, and the (lo, hits) blocks of _midpoint_hits
+    over their halved digits."""
+    space = A.space
+    members = A.members()
+    half = _pair_digits(space.p, space.n, members, space.inv2)
+    return members, _midpoint_hits(A.mask, space.p, space.n, half)
+
+
+def count_3aps_naive(A: DenseSubset, include_trivial: bool = True) -> int:
+    """Exhaustive count of (a, d) pairs with a, a+d, a+2d in A.
+
+    2 is invertible, so (a, d) -> (x, z) = (a, a + 2d) is a bijection and
+    the nontrivial pairs are the ordered member pairs x != z whose midpoint
+    lies in A: the full pair search counts them over all |A|^2 pairs.  It
+    holds the halved member digits, 8 n |A| bytes, and one pair run of
+    about _PAIR_BLOCK digit entries, whatever N is.
+    """
+    _, runs = _member_hits(A)
+    total = sum(int(np.count_nonzero(hits)) for _, hits in runs)
+    return total + A.card if include_trivial else total
+
+
 def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:
     """First nontrivial triple in (a, d)-lexicographic order, or None.
 
@@ -142,10 +140,9 @@ def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:
     pair search costs at most |A|^2 pairs, in runs of about _PAIR_BLOCK
     digit entries, whatever N is.
     """
-    space = A.space
-    p, n, inv2 = space.p, space.n, space.inv2
-    members = A.members()
-    for lo, hits in _midpoint_hits(A.mask, p, n, _pair_digits(p, n, members, inv2)):
+    p, n, inv2 = A.space.p, A.space.n, A.space.inv2
+    members, runs = _member_hits(A)
+    for lo, hits in runs:
         rows = np.flatnonzero(hits.any(axis=1))
         if rows.size:
             i = lo + int(rows[0])

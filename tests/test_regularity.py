@@ -309,9 +309,17 @@ class TestRegularizeMulti:
         for c in rep.classifications:
             assert c.is_regular
 
-    def test_overlap_rejected(self):
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [ALINE, ALINE],
+            [ALINE, DenseSubset.from_members(SP32, [3, 4, 5]), DenseSubset.from_members(SP32, [2, 6])],
+        ],
+        ids=["equal-pair", "first-and-third"],
+    )
+    def test_overlap_rejected(self, parts):
         with pytest.raises(InputError):
-            regularize_multi([ALINE, ALINE], 0.5, 1.0)
+            regularize_multi(parts, 0.5, 1.0)
 
     def test_step_cap_value(self):
         rep = regularize_multi(

@@ -134,27 +134,54 @@ def test_count_memory_budget_at_the_cap():
     assert peak_bytes(out) <= 2.5 * out["N"] * 16
 
 
-# A fresh interpreter again; the sets' masks exist before the first reading.
+# A fresh interpreter again; the sets' masks exist before the first reading,
+# and the spectral count of the 1000-member set runs after the last.
 _SCAN_PEAK_SCRIPT = """
-from fpnreg.threeap import count_3aps_naive, find_nontrivial_3ap
+import numpy as np
+from fpnreg.threeap import count_3aps_fourier, count_3aps_naive, find_nontrivial_3ap
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
 small = DenseSubset.full(SpaceDescriptor(5, 2))
 find_nontrivial_3ap(small), count_3aps_naive(small)
 space = SpaceDescriptor(5, 10)
 line, point = DenseSubset.from_members(space, [0, 1, 2]), DenseSubset.from_members(space, [space.N // 3])
+many = DenseSubset.from_members(space, np.random.default_rng(0).choice(space.N, 1000, replace=False))
 t, find = measure(lambda: find_nontrivial_3ap(line))
 count, naive = measure(lambda: count_3aps_naive(point))
-print(json.dumps({"N": space.N, "triple": [t.a, t.d], "count": count, "find": find, "naive": naive}))
+many_count, many_naive = measure(lambda: count_3aps_naive(many))
+print(json.dumps({
+    "N": space.N, "triple": [t.a, t.d], "count": count, "find": find, "naive": naive,
+    "many_count": many_count, "many_spectral": count_3aps_fourier(many), "many_naive": many_naive,
+}))
 """
 
 
 def test_progression_scan_memory_budget_at_the_cap():
     """find_nontrivial_3ap and a one-member count_3aps_naive at 5^10 each
-    peak at most 16 N bytes above the masks."""
+    peak at most 16 N bytes above the masks; a 1000-member count matches the
+    spectral count and peaks at most 4 N bytes."""
     out = run_peak_script(_SCAN_PEAK_SCRIPT)
     assert out["triple"] == [0, 1] and out["count"] == 1
+    assert out["many_count"] == out["many_spectral"]
     assert peak_bytes(out["find"]) <= 16 * out["N"]
     assert peak_bytes(out["naive"]) <= 16 * out["N"]
+    assert peak_bytes(out["many_naive"]) <= 4 * out["N"]
+
+
+@pytest.mark.parametrize("pn", [(3, 6), (5, 4)])
+def test_progression_queries_run_without_the_codec(pn, monkeypatch):
+    """The exhaustive count, the triple search and the density test decode
+    and encode no point through SpaceDescriptor.digits or .index."""
+    space = SpaceDescriptor(*pn)
+    A = random_subset(space, np.random.default_rng(5), density=0.2)
+
+    def refuse(self, value):
+        raise AssertionError("the digit codec was called")
+
+    monkeypatch.setattr(SpaceDescriptor, "digits", refuse)
+    monkeypatch.setattr(SpaceDescriptor, "index", refuse)
+    assert count_3aps_naive(A) > A.card
+    assert find_nontrivial_3ap(A) is not None
+    assert 0 < density_test(A, 0.1, 20, 0).failures < 20  # hit and AP-free trials both run
 
 
 # R (r = 10 sqrt(N) points) exists before the reading; the trial hits.
@@ -202,10 +229,7 @@ class TestFindTriple:
         count = count_3aps_naive(A, include_trivial=False)
         assert find_nontrivial_3ap(A) == first
         assert (first is None) == (count == 0)
-        with (
-            mock.patch.object(threeap, "_PAIR_BLOCK", 2 * SP32.n),  # two differences per block
-            mock.patch.object(vectorspace, "_PAIR_BLOCK", 1),  # one member per pair run
-        ):
+        with mock.patch.object(vectorspace, "_PAIR_BLOCK", 1):  # one member per pair run
             assert find_nontrivial_3ap(A) == first
             assert count_3aps_naive(A, include_trivial=False) == count
 
@@ -295,19 +319,21 @@ def _decide(A: DenseSubset) -> tuple[bool, np.ndarray]:
 
 def _check_decider(A: DenseSubset):
     """The pair search hits iff A holds a nontrivial 3AP, and its hits are the
-    decoded midpoints of every pair x != z; also in one-row runs, and through
-    density_test on the whole of A."""
+    codec-decoded midpoints of every pair x != z, whose number is the
+    nontrivial count; also in one-row runs, and through density_test on the
+    whole of A."""
     space = A.space
-    has_ap = count_3aps_naive(A, include_trivial=False) > 0
     members = A.members()
     dx = space.digits(members)
     mids = space.index((dx[:, None, :] + dx[None, :, :]) * space.inv2 % space.p)
     want = A.mask[mids] & ~np.eye(A.card, dtype=bool)
+    has_ap = bool(want.any())
     for block in (None, 1):
         with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
             hit, hits = _decide(A)
             assert hit == has_ap
             assert np.array_equal(hits, want)
+            assert count_3aps_naive(A, include_trivial=False) == want.sum()
             assert density_test(A, 1.0, 1, 0).outcomes == (int(not has_ap),)
 
 
