@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .fourier import full_spectrum, rounded_count
-from .rng import substream, sample_without_replacement
+from .rng import sample_without_replacement, substreams
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
@@ -179,8 +179,7 @@ def sparse_check(A: DenseSubset, b: float, sigma: float, samples: int, seed: int
 
     max_ratio = 0.0
     witness = None
-    for trial in range(samples):
-        gen = substream(seed, trial)
+    for gen in substreams(seed, samples):
         nx = int(gen.integers(min_size, space.N + 1))
         X = DenseSubset.from_members(space, sample_without_replacement(gen, everything, nx))
         if gen.integers(2):
@@ -261,8 +260,7 @@ def pair_density_check(
     hj_elems = H._localization(int(space.neg(vj)))[rev, 0]
 
     max_ratio = 0.0
-    for trial in range(samples):
-        gen = substream(seed, trial)
+    for gen in substreams(seed, samples):
         nx = int(gen.integers(min_size, H.size + 1))
         ny = int(gen.integers(min_size, H.size + 1))
         X = DenseSubset.from_members(space, sample_without_replacement(gen, hi_elems, nx))

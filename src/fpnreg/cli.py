@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ContractError, InputError
 from .fourier import DenseFunction, identity_suite
-from .rng import GENERATOR_ID, substream
+from .rng import GENERATOR_ID, substreams
 from .reporting import canonical_json, render_rows, to_jsonable
 from .cayley import petal_graph, sigma_certificate
 from .randmodel import (
@@ -108,8 +108,7 @@ def _run_fourier_check(args):
     space = _resolve_space(args)
     rows = []
     agg = {"parseval": 0.0, "plancherel": 0.0, "inversion": 0.0, "convolution": 0.0}
-    for trial in range(args.trials):
-        gen = substream(args.seed, trial)
+    for trial, gen in enumerate(substreams(args.seed, args.trials)):
         dim = int(gen.integers(0, space.n + 1))
         H = SubspaceBasis.from_vectors(
             space, gen.integers(0, space.N, size=dim).astype(np.int64)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, InputError
 from .fourier import full_spectrum
-from .rng import sample_without_replacement, substream
+from .rng import sample_without_replacement, substream, substreams
 from .threeap import DensityTestReport, density_test
 from .vectorspace import DenseSubset, SpaceDescriptor, _check_index, _flatten, _linear_form
 
@@ -30,8 +30,8 @@ _COUPLING_ATTEMPTS = 1000
 
 
 def _sample_exact(space: SpaceDescriptor, r: int, gen: np.random.Generator) -> DenseSubset:
-    members = sample_without_replacement(gen, np.arange(space.N, dtype=np.int64), r)
-    return DenseSubset.from_members(space, members)
+    # the picked indices are the members: no N-sized pool of points
+    return DenseSubset.from_members(space, np.sort(gen.choice(space.N, size=r, replace=False)))
 
 
 def sample_exact(space: SpaceDescriptor, r: int, seed: int) -> DenseSubset:
@@ -191,8 +191,7 @@ def empirical_tail(
     cosines = np.cos(2 * np.pi * phases / space.p)
 
     hits = 0
-    for trial in range(trials):
-        gen = substream(seed, trial)
+    for gen in substreams(seed, trials):
         x = float(cosines[gen.random(space.N) < q].sum())
         if x >= lam:
             hits += 1
@@ -312,8 +311,7 @@ def mc_klr11(graph, t1: int, t2: int, adversary, trials: int, seed: int) -> KLRR
         raise InputError(f"need 1 <= t1, t2 < u/2 = {u / 2}")
 
     failures = 0
-    for trial in range(trials):
-        gen = substream(seed, trial)
+    for gen in substreams(seed, trials):
         T1 = sample_without_replacement(gen, _pool(u, adversary.select_s1(graph), "S1"), t1)
         T2 = sample_without_replacement(gen, _pool(u, adversary.select_s2(graph, T1), "S2"), t2)
         if not graph.any_edge(T1, T2):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError
 from .fourier import full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
-from .rng import substream
+from .rng import substreams
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
@@ -36,6 +36,11 @@ from .vectorspace import (
     _pair_sum,
     same_space,
 )
+
+# Partners of a density trial's first pick in its probe, tried before the
+# full pair search; the picks are distinct, so x = z cannot occur in it.
+_PROBE = 64
+
 
 @dataclass(frozen=True)
 class APTriple:
@@ -88,10 +93,11 @@ def count_3aps_fourier(A: DenseSubset) -> int:
 
 
 def _midpoint_hits(mask: np.ndarray, p: int, n: int, half: np.ndarray):
-    """(lo, hits) per block of rows over the members x_0 < ... < x_{k-1} of
-    the set with bit mask `mask`: hits[i, j] = [x_{lo+i} != x_j and
-    (x_{lo+i} + x_j)/2 lies in the set].  half holds the digits of inv2*x_j
-    (from _pair_digits), so the midpoint is their digit-wise sum.
+    """(lo, hits) per block of rows over the members x_0, ..., x_{k-1} of
+    the set with bit mask `mask`, in the order half holds them: hits[i, j] =
+    [x_{lo+i} != x_j and (x_{lo+i} + x_j)/2 lies in the set].  half holds
+    the digits of inv2*x_j (from _pair_digits), so the midpoint is their
+    digit-wise sum.  Whether a pass hits does not depend on that order.
 
     Blocks of 1, 4, 16, ... rows run against all k members, each capped at
     _pair_step rows, so a caller that stops at the first hit pays little
@@ -214,16 +220,23 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
     """Randomized refutation search for (alpha, 3AP)-density of R.
 
     Samples uniform ceil(alpha |R|)-subsets of R and reports the fraction
-    lacking a nontrivial progression, with up to 10 witness subsets.
+    lacking a nontrivial progression, with up to 10 witness subsets.  Trial
+    t draws its subset from substream(seed, t), read through one re-keyed
+    stream (rng.substreams).
 
     A pair search decides each trial: it looks for members x != z of the
     subset whose midpoint (x + z)/2 is also a member, and stops at the first
     hit.  R's members are halved and decoded into digits once per call; a
-    trial gathers the columns of its members.  A full pass over the k^2
-    pairs with no hit is an exact certificate that the subset is AP-free.
-    On every such trial the spectral count cross-checks the certificate,
-    and a disagreement raises AssertionError.  A trial's pair runs hold
-    about _PAIR_BLOCK digit entries and a trial that hits builds no
+    trial gathers the columns of its picks, in the order they were drawn,
+    and scatters them into one N-sized mask that the call reuses and clears
+    after each trial.  When k > _PROBE + 1 a short probe first pairs the
+    first pick with the next _PROBE, which decides most trials of a set
+    full of progressions; a miss falls through to the full search.  A full
+    pass over the k^2 pairs with no hit is an exact certificate that the
+    subset is AP-free.  Only such a trial builds a DenseSubset: the
+    spectral count cross-checks the certificate, and a disagreement raises
+    AssertionError.  A trial's pair runs hold about _PAIR_BLOCK digit
+    entries, the reused mask N bytes, and a trial that hits builds no
     transform, so at the cap (r = 10 sqrt(N), alpha = 1/2) a hit trial
     peaks below 4 N bytes above R.
     """
@@ -236,24 +249,30 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
         raise InputError(f"subset size {k} exceeds |R| = {R.card}")
     space = R.space
     p, n = space.p, space.n
-    members = R.members()  # ascending, so a sorted pick keeps members sorted
+    members = R.members()
     half = _pair_digits(p, n, members, space.inv2)
+    mask = np.zeros(space.N, dtype=bool)
 
     failures = 0
     witnesses = []
     outcomes = []
-    for t in range(trials):
-        pick = np.sort(substream(seed, t).choice(R.card, size=k, replace=False))
-        sub = DenseSubset.from_members(space, members[pick])
+    for gen in substreams(seed, trials):
+        pick = gen.choice(R.card, size=k, replace=False)
+        points = members[pick]
         cols = np.take(half, pick, axis=1)  # a third the time of half[:, pick]
-        ap_free = not any(hits.any() for _, hits in _midpoint_hits(sub.mask, p, n, cols))
+        mask[points] = True
+        partners = cols[:, 1 : _PROBE + 1]
+        probe_hit = k > _PROBE + 1 and mask[_pair_sum(p, n, cols[:, :1], partners)].any()
+        ap_free = not probe_hit and not any(hits.any() for _, hits in _midpoint_hits(mask, p, n, cols))
         outcomes.append(1 if ap_free else 0)
         if ap_free:
+            sub = DenseSubset(space, mask)
             if count_3aps_fourier(sub) != sub.card:
                 raise AssertionError("pair search and spectral count disagree on an AP-free trial")
             failures += 1
             if len(witnesses) < 10:
                 witnesses.append(tuple(int(x) for x in sub.members()))
+        mask[points] = False
     return DensityTestReport(
         alpha, k, trials, failures, failures / trials, tuple(witnesses), tuple(outcomes)
     )

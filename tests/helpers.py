@@ -86,6 +86,15 @@ def random_subset(space: SpaceDescriptor, gen: np.random.Generator, density=None
     return DenseSubset(space, gen.random(space.N) < d)
 
 
+def ap_free_core(extra: int) -> np.ndarray:
+    """{0, 1, 3}^4 in F_7^4 plus `extra` random points, ascending.  {0, 1, 3}
+    holds no 3AP in F_7, and a progression in a product set is one in every
+    coordinate where it moves, so the core holds none."""
+    digits = np.array([0, 1, 3])
+    core = sum(np.ix_(*(digits * 7**i for i in range(4)))).ravel()
+    return np.union1d(core, np.random.default_rng(7).choice(7**4, size=extra, replace=False))
+
+
 def validate_flower(flower, A: DenseSubset | None = None) -> list:
     """Re-verify every flower invariant from scratch; returns violations."""
     problems = []

@@ -24,11 +24,33 @@ from fpnreg.randmodel import (
 from fpnreg.rng import substream
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
 
-from helpers import PRIMES
+from helpers import PRIMES, peak_bytes, run_peak_script
 
 SP32 = SpaceDescriptor(3, 2)
 SP34 = SpaceDescriptor(3, 4)
 SP38 = SpaceDescriptor(3, 8)
+
+
+# r = 10 sqrt(N) points, the size of a sparse random set in the experiments.
+_SAMPLE_PEAK_SCRIPT = """
+import math
+from fpnreg.randmodel import sample_exact
+from fpnreg.vectorspace import SpaceDescriptor
+sample_exact(SpaceDescriptor(5, 3), 10, 0)
+space = SpaceDescriptor(int(sys.argv[1]), int(sys.argv[2]))
+r = int(10 * math.sqrt(space.N))
+R, reading = measure(lambda: sample_exact(space, r, 3))
+print(json.dumps({"N": space.N, "r": r, "card": R.card, **reading}))
+"""
+
+
+@pytest.mark.parametrize("p, n", [(5, 10), (13, 6)])
+def test_sample_exact_memory_budget_at_the_cap(p, n):
+    """A uniform r-subset costs its mask and the DenseSubset's copy of it,
+    at most 3 N bytes: the draw is of indices, with no N-sized pool."""
+    out = run_peak_script(_SAMPLE_PEAK_SCRIPT, p, n)
+    assert out["card"] == out["r"]
+    assert peak_bytes(out) <= 3 * out["N"]
 
 
 class TestSamplers:

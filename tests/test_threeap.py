@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from helpers import (
     ORACLE_MAX_N,
     PRIMES,
     SUBSET_KINDS,
+    ap_free_core,
     peak_bytes,
     random_subset,
     run_peak_script,
@@ -317,16 +319,22 @@ def _decide(A: DenseSubset) -> tuple[bool, np.ndarray]:
     return bool(hits.any()), hits
 
 
+def _codec_hits(A: DenseSubset) -> np.ndarray:
+    """The codec oracle: hits[i, j] = [x_i != x_j and (x_i + x_j)/2 lies in
+    A] over A's ascending members, each midpoint decoded and re-encoded
+    through the digit codec."""
+    space = A.space
+    dx = space.digits(A.members())
+    mids = space.index((dx[:, None, :] + dx[None, :, :]) * space.inv2 % space.p)
+    return A.mask[mids] & ~np.eye(A.card, dtype=bool)
+
+
 def _check_decider(A: DenseSubset):
     """The pair search hits iff A holds a nontrivial 3AP, and its hits are the
     codec-decoded midpoints of every pair x != z, whose number is the
     nontrivial count; also in one-row runs, and through density_test on the
     whole of A."""
-    space = A.space
-    members = A.members()
-    dx = space.digits(members)
-    mids = space.index((dx[:, None, :] + dx[None, :, :]) * space.inv2 % space.p)
-    want = A.mask[mids] & ~np.eye(A.card, dtype=bool)
+    want = _codec_hits(A)
     has_ap = bool(want.any())
     for block in (None, 1):
         with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
@@ -364,6 +372,54 @@ class TestDecider:
     def test_agrees_with_naive_count(self, p, n, density, seed):
         space = SpaceDescriptor(p, min(n, ORACLE_MAX_N[p]))
         _check_decider(DenseSubset(space, np.random.default_rng(seed).random(space.N) < density))
+
+
+def _random_set(space: SpaceDescriptor, seed: int, density: float) -> DenseSubset:
+    return random_subset(space, np.random.default_rng(seed), density)
+
+
+class TestDensityRederivation:
+    """Every density trial re-derived by hand: its subset is the sorted
+    members[substream(seed, t).choice(|R|, k, replace=False)], and the codec
+    oracle decides it."""
+
+    @pytest.mark.parametrize(
+        "R, alpha, trials, seed, ap_free",
+        [
+            (_random_set(SP34, 1, 0.9), 0.1, 12, 2, True),  # k = 8
+            (_random_set(SP34, 1, 0.95), 0.92, 6, 3, False),  # k = 70, probed
+            (_random_set(SpaceDescriptor(5, 3), 2, 0.8), 0.08, 12, 4, True),  # k = 9
+            (_random_set(SpaceDescriptor(5, 3), 2, 0.8), 0.7, 6, 5, False),  # k = 72, probed
+            (_random_set(SpaceDescriptor(7, 2), 3, 1.0), 0.1, 12, 6, True),  # k = 5
+            # k = 70: {0, 1, 3}^4 and one stray point; every trial passes the probe
+            (DenseSubset.from_members(SpaceDescriptor(7, 4), ap_free_core(1)), 0.85, 24, 7, True),
+            # k = 400 of 12000: numpy's choice(shuffle=False) picks another set here
+            (sample_exact(SpaceDescriptor(5, 6), 12000, 8), 1 / 30, 4, 9, False),
+        ],
+        ids=["3^4-small", "3^4-large", "5^3-small", "5^3-large", "7^2", "7^4-core", "5^6-12000"],
+    )
+    def test_trials_match_their_substreams(self, monkeypatch, R, alpha, trials, seed, ap_free):
+        k = math.ceil(alpha * R.card)
+        members = R.members()
+        subs = [np.sort(members[substream(seed, t).choice(R.card, k, replace=False)]) for t in range(trials)]
+        free = [not _codec_hits(DenseSubset.from_members(R.space, s)).any() for s in subs]
+        assert any(free) == ap_free
+
+        rep = density_test(R, alpha, trials, seed)
+        assert rep.subset_size == k
+        assert rep.outcomes == tuple(int(f) for f in free)
+        assert rep.witnesses == tuple(tuple(s.tolist()) for s, f in zip(subs, free) if f)[:10]
+
+        # with the probe gated off every trial reaches the full search, whose
+        # mask is the trial's subset
+        seen = []
+        search = threeap._midpoint_hits
+        monkeypatch.setattr(threeap, "_PROBE", k)
+        monkeypatch.setattr(
+            threeap, "_midpoint_hits", lambda mask, *rest: seen.append(np.flatnonzero(mask)) or search(mask, *rest)
+        )
+        assert density_test(R, alpha, trials, seed) == rep
+        assert [s.tolist() for s in seen] == [s.tolist() for s in subs]
 
 
 class TestCanonicalSplit:
