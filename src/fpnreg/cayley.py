@@ -7,13 +7,15 @@ e(X, Y) = N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); certificates bound the
 worst-case edge discrepancy through sup |Ahat| over nontrivial frequencies.
 
 The direct scan and the midpoint petal graph each look a mask up at a*x + b*y
-for every pair (x, y): vectorspace._pair_index computes those flat indices
-digit-wise, without digit tables, in runs of about _PAIR_BLOCK digit entries
-(the flower search in threeap uses it too).
+for every pair (x, y).  vectorspace._pair_codes encodes each side once, and
+vectorspace._pair_sum turns every pair of codes into the flat index of the
+digit-wise sum with one add and one table read per half, in runs of about
+_PAIR_BLOCK pairs (the flower search in threeap uses it too).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +30,9 @@ from .vectorspace import (
     SubspaceBasis,
     _check_index,
     _digit_reversal,
-    _pair_index,
+    _pair_codes,
     _pair_runs,
+    _pair_sum,
     localized_count,
     same_space,
 )
@@ -62,11 +65,13 @@ class CayleyGraph:
 
 
 def _scan(mask: np.ndarray, space: SpaceDescriptor, outer: np.ndarray, inner: np.ndarray, sign: int) -> int:
-    """sum over o in outer, i in inner of mask[sign*o + i], in runs of outer."""
+    """sum over o in outer, i in inner of mask[sign*o + i], in runs of outer;
+    each side is encoded once."""
     p, n = space.p, space.n
+    rows, partners = _pair_codes(p, n, outer, sign), _pair_codes(p, n, inner, 1)
     return sum(
-        int(np.count_nonzero(mask[_pair_index(p, n, outer[run], inner, sign, 1)]))
-        for run in _pair_runs(len(outer), len(inner), n)
+        int(np.count_nonzero(mask[_pair_sum(p, n, rows[:, run], partners)]))
+        for run in _pair_runs(len(outer), len(inner))
     )
 
 
@@ -293,7 +298,9 @@ class PetalGraph:
     row[k] = [h_k - w in A], in position order, decides every edge: h_i has
     the coefficient index _digit_reversal(p, dim)[i], and a digit reversal
     commutes with digit-wise sums, so the midpoint of (i, j) is position
-    inv2 (i + j), digit-wise mod p.
+    inv2 (i + j), digit-wise mod p.  The pair-kernel codes of inv2 i for
+    every position, 16 u bytes, are built on the first edge query and
+    shared by every later one.
     """
 
     def __init__(self, generator: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
@@ -317,16 +324,23 @@ class PetalGraph:
     def right_points(self) -> np.ndarray:
         return self._right
 
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """_pair_codes of inv2 i for every position i."""
+        space = self.space
+        return _pair_codes(space.p, self.H.dim, np.arange(self.u, dtype=np.int64), space.inv2)
+
     def _edge_block(self, lpos, rpos) -> np.ndarray:
         """Boolean adjacency block for positions lpos x rpos."""
-        inv2 = self.space.inv2
-        return self._row[_pair_index(self.space.p, self.H.dim, lpos, rpos, inv2, inv2)]
+        codes = self._codes
+        rows, partners = np.take(codes, lpos, axis=1), np.take(codes, rpos, axis=1)
+        return self._row[_pair_sum(self.space.p, self.H.dim, rows, partners)]
 
     def _blocks(self, lpos, rpos):
         """_edge_block over lpos x rpos, lpos cut into _pair_runs."""
         lpos = np.asarray(lpos, dtype=np.int64)
         rpos = np.asarray(rpos, dtype=np.int64)
-        for run in _pair_runs(len(lpos), len(rpos), self.H.dim):
+        for run in _pair_runs(len(lpos), len(rpos)):
             yield self._edge_block(lpos[run], rpos)
 
     def edges_between(self, lpos, rpos) -> int:

@@ -5,7 +5,7 @@ when a, a+d, a+2d all lie in the set, and d = 0 gives the |A| trivial pairs.
 The exhaustive count and the decision both run one midpoint search over
 member pairs: a pair x != z whose midpoint is a member is the nontrivial
 progression x, (x + z)/2, z.  The count runs it over all |A|^2 pairs,
-holding 8 n |A| bytes of halved member digits and one pair run; deciding
+holding 16 |A| bytes of halved member codes and one pair run; deciding
 stops at the first hit.  The spectral count N^2 sum_xi conj(Ahat(xi))^2
 Ahat(2xi) reproduces the exhaustive count exactly after rounding.  The
 flower search splits A into parts, regularizes them jointly, collects
@@ -29,7 +29,7 @@ from .vectorspace import (
     SpaceDescriptor,
     SubspaceBasis,
     _dilate,
-    _pair_digits,
+    _pair_codes,
     _pair_index,
     _pair_runs,
     _pair_step,
@@ -96,7 +96,7 @@ def _midpoint_hits(mask: np.ndarray, p: int, n: int, half: np.ndarray):
     """(lo, hits) per block of rows over the members x_0, ..., x_{k-1} of
     the set with bit mask `mask`, in the order half holds them: hits[i, j] =
     [x_{lo+i} != x_j and (x_{lo+i} + x_j)/2 lies in the set].  half holds
-    the digits of inv2*x_j (from _pair_digits), so the midpoint is their
+    the codes of inv2*x_j (from _pair_codes), so the midpoint is their
     digit-wise sum.  Whether a pass hits does not depend on that order.
 
     Blocks of 1, 4, 16, ... rows run against all k members, each capped at
@@ -105,7 +105,7 @@ def _midpoint_hits(mask: np.ndarray, p: int, n: int, half: np.ndarray):
     pair x != z with midpoint y in the set is the nontrivial progression x,
     y, z, so a pass with no hit proves the set progression-free."""
     k = half.shape[1]
-    lo, size, cap = 0, 1, _pair_step(k, n)
+    lo, size, cap = 0, 1, _pair_step(k)
     while lo < k:
         hi = min(lo + min(size, cap), k)
         hits = mask[_pair_sum(p, n, half[:, lo:hi], half)]
@@ -116,10 +116,10 @@ def _midpoint_hits(mask: np.ndarray, p: int, n: int, half: np.ndarray):
 
 def _member_hits(A: DenseSubset):
     """A's members, ascending, and the (lo, hits) blocks of _midpoint_hits
-    over their halved digits."""
+    over their halved codes."""
     space = A.space
     members = A.members()
-    half = _pair_digits(space.p, space.n, members, space.inv2)
+    half = _pair_codes(space.p, space.n, members, space.inv2)
     return members, _midpoint_hits(A.mask, space.p, space.n, half)
 
 
@@ -129,8 +129,8 @@ def count_3aps_naive(A: DenseSubset, include_trivial: bool = True) -> int:
     2 is invertible, so (a, d) -> (x, z) = (a, a + 2d) is a bijection and
     the nontrivial pairs are the ordered member pairs x != z whose midpoint
     lies in A: the full pair search counts them over all |A|^2 pairs.  It
-    holds the halved member digits, 8 n |A| bytes, and one pair run of
-    about _PAIR_BLOCK digit entries, whatever N is.
+    holds the halved member codes, 16 |A| bytes, and one pair run of about
+    _PAIR_BLOCK pairs, whatever N is.
     """
     _, runs = _member_hits(A)
     total = sum(int(np.count_nonzero(hits)) for _, hits in runs)
@@ -143,8 +143,8 @@ def find_nontrivial_3ap(A: DenseSubset) -> APTriple | None:
     The triples from a are a, (a + z)/2, z for the members z != a whose
     midpoint with a lies in A, with d = (z - a)/2.  The first a in ascending
     order with such a z gives the triple, with the smallest of its d.  The
-    pair search costs at most |A|^2 pairs, in runs of about _PAIR_BLOCK
-    digit entries, whatever N is.
+    pair search costs at most |A|^2 pairs and holds 16 |A| bytes of member
+    codes and one run of about _PAIR_BLOCK pairs, whatever N is.
     """
     p, n, inv2 = A.space.p, A.space.n, A.space.inv2
     members, runs = _member_hits(A)
@@ -226,19 +226,19 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
 
     A pair search decides each trial: it looks for members x != z of the
     subset whose midpoint (x + z)/2 is also a member, and stops at the first
-    hit.  R's members are halved and decoded into digits once per call; a
-    trial gathers the columns of its picks, in the order they were drawn,
-    and scatters them into one N-sized mask that the call reuses and clears
-    after each trial.  When k > _PROBE + 1 a short probe first pairs the
-    first pick with the next _PROBE, which decides most trials of a set
-    full of progressions; a miss falls through to the full search.  A full
-    pass over the k^2 pairs with no hit is an exact certificate that the
-    subset is AP-free.  Only such a trial builds a DenseSubset: the
-    spectral count cross-checks the certificate, and a disagreement raises
-    AssertionError.  A trial's pair runs hold about _PAIR_BLOCK digit
-    entries, the reused mask N bytes, and a trial that hits builds no
-    transform, so at the cap (r = 10 sqrt(N), alpha = 1/2) a hit trial
-    peaks below 4 N bytes above R.
+    hit.  R's members are halved and encoded into pair-kernel codes once
+    per call, 16 |R| bytes; a trial gathers the code columns of its picks,
+    in the order they were drawn, and scatters them into one N-sized mask
+    that the call reuses and clears after each trial.  When k > _PROBE + 1
+    a short probe first pairs the first pick with the next _PROBE, which
+    decides most trials of a set full of progressions; a miss falls through
+    to the full search.  A full pass over the k^2 pairs with no hit is an
+    exact certificate that the subset is AP-free.  Only such a trial builds
+    a DenseSubset: the spectral count cross-checks the certificate, and a
+    disagreement raises AssertionError.  A trial's pair runs hold about
+    _PAIR_BLOCK pairs, the reused mask N bytes, and a trial that hits
+    builds no transform, so at the cap (r = 10 sqrt(N), alpha = 1/2) a hit
+    trial peaks below 4 N bytes above R.
     """
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
@@ -250,7 +250,7 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
     space = R.space
     p, n = space.p, space.n
     members = R.members()
-    half = _pair_digits(p, n, members, space.inv2)
+    half = _pair_codes(p, n, members, space.inv2)
     mask = np.zeros(space.N, dtype=bool)
 
     failures = 0
@@ -259,7 +259,7 @@ def density_test(R: DenseSubset, alpha: float, trials: int, seed: int) -> Densit
     for gen in substreams(seed, trials):
         pick = gen.choice(R.card, size=k, replace=False)
         points = members[pick]
-        cols = np.take(half, pick, axis=1)  # a third the time of half[:, pick]
+        cols = np.take(half, pick, axis=1)  # faster than half[:, pick]
         mask[points] = True
         partners = cols[:, 1 : _PROBE + 1]
         probe_hit = k > _PROBE + 1 and mask[_pair_sum(p, n, cols[:, :1], partners)].any()
@@ -445,6 +445,9 @@ def flower_find(
     # coset of 2c - u has id flat(2 c - u) in the digits of the ids.
     p, nfree = space.p, len(H.free)
     elig_ids = [np.flatnonzero(e) for e in eligible]
+    # each part's ids encoded once, as centers (2c) and as petal ends (-u)
+    twice = [_pair_codes(p, nfree, ids, 2) for ids in elig_ids]
+    negated = [_pair_codes(p, nfree, ids, -1) for ids in elig_ids]
 
     # Maximize over (i0, j0, k0) and then centers in ascending order; the
     # first maximum wins, as a strict comparison in that loop order would.
@@ -457,8 +460,8 @@ def flower_find(
                 continue
             k0s = [k0 for k0 in range(m) if k0 not in (i0, j0) and len(elig_ids[k0])]
             counts = np.zeros((m, len(centers)), dtype=np.int64)
-            for run in _pair_runs(len(centers), len(us), nfree):
-                mids = _pair_index(p, nfree, centers[run], us, 2, -1)
+            for run in _pair_runs(len(centers), len(us)):
+                mids = _pair_sum(p, nfree, twice[i0][:, run], negated[j0])
                 distinct = centers[run, None] != us
                 for k0 in k0s:
                     counts[k0, run] = np.count_nonzero(eligible[k0][mids] & distinct, axis=1)
@@ -478,7 +481,7 @@ def flower_find(
 
     cnt, i0, j0, k0, at = best
     c, us = elig_ids[i0][at], elig_ids[j0]
-    mids = _pair_index(p, nfree, elig_ids[i0][at : at + 1], us, 2, -1)[0]
+    mids = _pair_sum(p, nfree, twice[i0][:, at : at + 1], negated[j0])[0]
     ok = eligible[k0][mids] & (us != c)
     center = int(reps[c])
     petals = tuple(zip(reps[us[ok]].tolist(), reps[mids[ok]].tolist()))

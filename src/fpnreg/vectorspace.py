@@ -206,19 +206,19 @@ def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
     return np.take(t, _digit_perm(p, low, c), axis=1).reshape(-1)
 
 
-# A pair-kernel run holds about this many digit entries.
-_PAIR_BLOCK = 1 << 22
+# A pair-kernel run holds about this many pairs.  _pair_sum keeps two int64
+# arrays of one entry per pair, so a run's temporaries stay within 4 MiB.
+_PAIR_BLOCK = 1 << 18
 
 
-def _pair_step(ny: int, m: int) -> int:
-    """Rows per run of about _PAIR_BLOCK digit entries against ny partners
-    of m digits each."""
-    return max(1, _PAIR_BLOCK // max(ny * m, 1))
+def _pair_step(ny: int) -> int:
+    """Rows per run of about _PAIR_BLOCK pairs against ny partners."""
+    return max(1, _PAIR_BLOCK // max(ny, 1))
 
 
-def _pair_runs(nx: int, ny: int, m: int) -> list:
-    """Slices cutting nx rows into runs of _pair_step rows, for _pair_index."""
-    step = _pair_step(ny, m)
+def _pair_runs(nx: int, ny: int) -> list:
+    """Slices cutting nx rows into runs of _pair_step rows, for _pair_sum."""
+    step = _pair_step(ny)
     return [slice(lo, lo + step) for lo in range(0, nx, step)]
 
 
@@ -226,35 +226,69 @@ def _pair_index(p: int, m: int, x: np.ndarray, y: np.ndarray, a: int, b: int) ->
     """flat(a*x_i + b*y_j) for the flat indices x, y of the (p,)*m digit
     tensor, the sum taken digit-wise mod p; shape (len(x), len(y)).
 
-    The composition of _pair_digits, which decodes each side once, and
+    The composition of _pair_codes, which encodes each side once, and
     _pair_sum, which does the per-pair work.
     """
-    return _pair_sum(p, m, _pair_digits(p, m, x, a), _pair_digits(p, m, y, b))
+    return _pair_sum(p, m, _pair_codes(p, m, x, a), _pair_codes(p, m, y, b))
 
 
-def _pair_digits(p: int, m: int, x: np.ndarray, a: int) -> np.ndarray:
-    """The digits of a*x for the flat indices x: row i is digit i, shape
-    (m, len(x))."""
-    w = _weights(p, m)
-    return x // w[:, None] * (a % p) % p
+@lru_cache(maxsize=None)
+def _code_spread(p: int, m: int, a: int) -> tuple:
+    """(p^h, lo, hi) for h = m // 2: lo[r] is the base-2p code of the
+    digits of a*r for r < p^h, and hi[q] that of a*q for q < p^(m-h)."""
+    h = m // 2
+    step = np.arange(p, dtype=np.int64) * a % p
+    lo, hi = (_flatten(_digit_sum(p, [step * (2 * p) ** i for i in range(k)]), p, k) for k in (h, m - h))
+    return p**h, lo, hi
+
+
+def _pair_codes(p: int, m: int, x: np.ndarray, a: int) -> np.ndarray:
+    """The codes of a*x for the flat indices x, shape (2, len(x)): row 0
+    holds the low h = m // 2 digits of a*x and row 1 the other m - h, each
+    written in base 2p.  One divmod by p^h splits x, and two reads from
+    the cached _code_spread tables (p^h and p^(m-h) entries, a folded in)
+    write the codes."""
+    ph, lo, hi = _code_spread(p, m, a % p)
+    codes = np.empty((2, len(x)), dtype=np.int64)
+    q, r = np.divmod(x, ph)
+    codes[0] = lo[r]
+    codes[1] = hi[q]
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _code_sums(p: int, m: int) -> tuple:
+    """(lo_tab, hi_tab) for h = m // 2: a sum s of two low codes maps to
+    lo_tab[s] = sum_i p^i (s_i mod p) over its h base-2p digits s_i, and a
+    sum of two high codes to hi_tab[s] = p^h sum_i p^i (s_i mod p) over its
+    m - h.  (2p)^h and (2p)^(m-h) entries; 6^6 at 3^12 and 10^5 at 5^10."""
+    h = m // 2
+    k = np.arange(2 * p, dtype=np.int64) % p
+    return tuple(
+        _flatten(_digit_sum(2 * p, [k * p ** (lo + i) for i in range(d)]), 2 * p, d)
+        for lo, d in ((0, h), (h, m - h))
+    )
 
 
 def _pair_sum(p: int, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """flat(u_i + v_j) for digit columns u (m, nx) and v (m, ny), the sum
-    taken digit-wise mod p; shape (nx, ny).
+    """flat(u_i + v_j) for the codes u (2, nx) and v (2, ny) of _pair_codes,
+    the sum taken digit-wise mod p; shape (nx, ny).
 
-    Digit i of u + v wraps when u_i >= p - v_i and then loses p at weight
-    p^i, so
+    Every digit of a code is below p, so a base-2p digit of the sum of two
+    codes is at most 2p - 2 and the addition never carries from one digit
+    to the next.  Reducing each digit mod p is then one table read per
+    half:
 
-        flat(u + v) = flat(u) + flat(v) - sum_i p^(i+1) [u_i >= p - v_i].
+        flat(u + v) = lo_tab[u_0 + v_0] + hi_tab[u_1 + v_1],
 
-    Only the wrap test is per pair and per digit: an (m, nx, ny) boolean
-    array, which _pair_runs holds to about _PAIR_BLOCK entries.
+    two adds and two reads per pair, whatever m is.  A run holds two int64
+    (nx, ny) arrays, which _pair_runs keeps to about _PAIR_BLOCK pairs.
     """
-    w = _weights(p, m)
-    idx = np.einsum("i,ijk->jk", -p * w, u[:, :, None] >= (p - v)[:, None, :])
-    idx += (w @ u)[:, None]
-    idx += w @ v
+    lo_tab, hi_tab = _code_sums(p, m)
+    s = u[0][:, None] + v[0]
+    idx = lo_tab[s]
+    np.add(u[1][:, None], v[1], out=s)
+    idx += hi_tab.take(s, out=s, mode="clip")  # s is read before each write
     return idx
 
 

@@ -265,3 +265,25 @@ def test_script_runs(script):
         [sys.executable, str(root / "scripts" / script)], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pair_kernel_bench_record(tmp_path):
+    """scripts/pair_kernel_bench.py --tiny writes one record with a timing
+    per layer and case."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "pair_kernel.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "pair_kernel_bench.py"), "--tiny", "--repeats", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"python", "numpy", "blas", "threads", "repeats", "results"}
+    assert set(record["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    rows = record["results"]
+    assert [r["layer"] for r in rows] == ["_pair_codes", "_pair_sum", "_pair_index"] * 3
+    for r in rows:
+        assert set(r) == {"layer", "p", "m", "shape", "calls", "median_s", "min_s", "max_s"}
+        assert r["calls"] == 10 and len(r["shape"]) == 2
+        assert 0 < r["min_s"] <= r["median_s"] <= r["max_s"]

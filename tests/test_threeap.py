@@ -23,7 +23,7 @@ from fpnreg.threeap import (
     flower_from_dict,
     flower_to_dict,
 )
-from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, _pair_digits
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, _pair_codes
 
 from helpers import (
     ORACLE_MAX_N,
@@ -307,8 +307,8 @@ def _decide(A: DenseSubset) -> tuple[bool, np.ndarray]:
     """density_test's decision on A (a hit anywhere) and the hit rows of the
     full pass, stacked in order."""
     space = A.space
-    half = _pair_digits(space.p, space.n, A.members(), space.inv2)
-    k, cap = A.card, vectorspace._pair_step(A.card, space.n)
+    half = _pair_codes(space.p, space.n, A.members(), space.inv2)
+    k, cap = A.card, vectorspace._pair_step(A.card)
     at, rows = 0, [np.zeros((0, k), dtype=bool)]
     for i, (lo, hits) in enumerate(threeap._midpoint_hits(A.mask, space.p, space.n, half)):
         assert lo == at and len(hits) == min(4**i, cap, k - lo)  # blocks of 1, 4, 16, ... rows

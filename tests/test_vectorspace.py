@@ -12,6 +12,8 @@ from fpnreg.vectorspace import (
     basis_from_dict,
     basis_to_dict,
     coset_representatives,
+    _code_spread,
+    _code_sums,
     _dilate,
     _pair_index,
     digits_to_index,
@@ -154,6 +156,33 @@ class TestGroupOps:
                 dx, dy = space.digits(x), space.digits(y)
                 want = space.index((a * dx[:, None, :] + b * dy[None, :, :]) % p)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "p, m",
+        # the largest m per p under the dense cap, whose high-half tables
+        # the small oracle sizes above never fill, then m = 0 and m = 1
+        [(3, 12), (5, 10), (7, 8), (11, 6), (13, 6), (3, 0), (13, 0), (3, 1), (13, 1)],
+    )
+    def test_pair_index_at_the_cap(self, p, m):
+        gen = np.random.default_rng(100 * p + m)
+        x = gen.integers(0, p**m, size=20)
+        y = gen.integers(0, p**m, size=20)
+        multipliers = (-1, 1, 2, (p + 1) // 2)
+        for a in multipliers:
+            for b in multipliers:
+                got = _pair_index(p, m, x, y, a, b)
+                assert got.shape == (20, 20) and got.dtype == np.int64
+                if m == 0:
+                    assert not got.any()
+                    continue
+                space = SpaceDescriptor(p, m)
+                dx, dy = space.digits(x), space.digits(y)
+                want = space.index((a * dx[:, None, :] + b * dy[None, :, :]) % p)
+                assert np.array_equal(got, want)
+        tables = [*_code_sums(p, m)]
+        for a in multipliers:
+            tables += _code_spread(p, m, a % p)[1:]
+        assert sum(t.nbytes for t in tables) <= 4 * 2**20
 
     def test_space_mismatch(self):
         other = DenseSubset.full(SP33)
