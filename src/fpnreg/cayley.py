@@ -7,10 +7,9 @@ e(X, Y) = N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); certificates bound the
 worst-case edge discrepancy through sup |Ahat| over nontrivial frequencies.
 
 The direct scan and the midpoint petal graph each look a mask up at a*x + b*y
-for every pair (x, y).  vectorspace._pair_codes encodes each side once, and
-vectorspace._pair_sum turns every pair of codes into the flat index of the
-digit-wise sum with one add and one table read per half, in runs of about
-_PAIR_BLOCK pairs (the flower search in threeap uses it too).
+for every pair (x, y): vectorspace._pair_codes encodes each side once and
+_pair_sum adds the codes, in runs of about _PAIR_BLOCK pairs (the flower
+search in threeap uses them too).
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ class CayleyGraph:
 
 
 def _scan(mask: np.ndarray, space: SpaceDescriptor, outer: np.ndarray, inner: np.ndarray, sign: int) -> int:
-    """sum over o in outer, i in inner of mask[sign*o + i], in runs of outer;
-    each side is encoded once."""
+    """sum over o in outer, i in inner of mask[sign*o + i], in runs of outer."""
     p, n = space.p, space.n
     rows, partners = _pair_codes(p, n, outer, sign), _pair_codes(p, n, inner, 1)
     return sum(
@@ -298,9 +296,8 @@ class PetalGraph:
     row[k] = [h_k - w in A], in position order, decides every edge: h_i has
     the coefficient index _digit_reversal(p, dim)[i], and a digit reversal
     commutes with digit-wise sums, so the midpoint of (i, j) is position
-    inv2 (i + j), digit-wise mod p.  The pair-kernel codes of inv2 i for
-    every position, 16 u bytes, are built on the first edge query and
-    shared by every later one.
+    inv2 (i + j), digit-wise mod p.  The first edge query encodes inv2 i
+    for every position (16 u bytes) for all later ones.
     """
 
     def __init__(self, generator: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
@@ -326,9 +323,7 @@ class PetalGraph:
 
     @functools.cached_property
     def _codes(self) -> np.ndarray:
-        """_pair_codes of inv2 i for every position i."""
-        space = self.space
-        return _pair_codes(space.p, self.H.dim, np.arange(self.u, dtype=np.int64), space.inv2)
+        return _pair_codes(self.space.p, self.H.dim, np.arange(self.u), self.space.inv2)
 
     def _edge_block(self, lpos, rpos) -> np.ndarray:
         """Boolean adjacency block for positions lpos x rpos."""

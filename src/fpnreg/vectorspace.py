@@ -172,23 +172,27 @@ def _flatten(t: np.ndarray, p: int, m: int) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(t, (p,) * m)).reshape(-1)
 
 
+def _digit_table(values: np.ndarray, weights) -> np.ndarray:
+    """sum_i values[k_i] weights[i] over the flat indices k = sum_i k_i b^i
+    of the (b,)*m digit tensor, b = len(values) and m = len(weights).
+    Read-only, for the caches below."""
+    b = len(values)
+    table = _flatten(_digit_sum(b, [values * w for w in weights]), b, len(weights))
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=None)
 def _digit_perm(p: int, m: int, c: int) -> np.ndarray:
     """The flat index of c*x for every x in the (p,)*m digit tensor."""
-    step = np.arange(p, dtype=np.int64) * c % p
-    perm = _flatten(_digit_sum(p, [step * p**i for i in range(m)]), p, m)
-    perm.flags.writeable = False
-    return perm
+    return _digit_table(np.arange(p, dtype=np.int64) * c % p, [p**i for i in range(m)])
 
 
 @lru_cache(maxsize=None)
 def _digit_reversal(p: int, m: int) -> np.ndarray:
     """The flat index of x's digits in reverse order, for every x of the
     (p,)*m digit tensor: digit i moves to m - 1 - i.  An involution."""
-    k = np.arange(p, dtype=np.int64)
-    rev = _flatten(_digit_sum(p, [k * p ** (m - 1 - i) for i in range(m)]), p, m)
-    rev.flags.writeable = False
-    return rev
+    return _digit_table(np.arange(p, dtype=np.int64), [p ** (m - 1 - i) for i in range(m)])
 
 
 def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
@@ -206,8 +210,7 @@ def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
     return np.take(t, _digit_perm(p, low, c), axis=1).reshape(-1)
 
 
-# A pair-kernel run holds about this many pairs.  _pair_sum keeps two int64
-# arrays of one entry per pair, so a run's temporaries stay within 4 MiB.
+# A pair-kernel run holds about this many pairs, in two int64 arrays.
 _PAIR_BLOCK = 1 << 18
 
 
@@ -236,59 +239,48 @@ def _pair_index(p: int, m: int, x: np.ndarray, y: np.ndarray, a: int, b: int) ->
 def _code_spread(p: int, m: int, a: int) -> tuple:
     """(p^h, lo, hi) for h = m // 2: lo[r] is the base-2p code of the
     digits of a*r for r < p^h, and hi[q] that of a*q for q < p^(m-h)."""
-    h = m // 2
     step = np.arange(p, dtype=np.int64) * a % p
-    lo, hi = (_flatten(_digit_sum(p, [step * (2 * p) ** i for i in range(k)]), p, k) for k in (h, m - h))
-    return p**h, lo, hi
+    code = [(2 * p) ** i for i in range(m)]
+    return p ** (m // 2), _digit_table(step, code[: m // 2]), _digit_table(step, code[: m - m // 2])
 
 
 def _pair_codes(p: int, m: int, x: np.ndarray, a: int) -> np.ndarray:
-    """The codes of a*x for the flat indices x, shape (2, len(x)): row 0
-    holds the low h = m // 2 digits of a*x and row 1 the other m - h, each
-    written in base 2p.  One divmod by p^h splits x, and two reads from
-    the cached _code_spread tables (p^h and p^(m-h) entries, a folded in)
-    write the codes."""
+    """The codes of a*x for the flat indices x, shape (2, len(x)): the low
+    h = m // 2 digits of a*x and the other m - h, each in base 2p."""
     ph, lo, hi = _code_spread(p, m, a % p)
     codes = np.empty((2, len(x)), dtype=np.int64)
     q, r = np.divmod(x, ph)
-    codes[0] = lo[r]
-    codes[1] = hi[q]
+    codes[0], codes[1] = lo[r], hi[q]
     return codes
 
 
 @lru_cache(maxsize=None)
 def _code_sums(p: int, m: int) -> tuple:
-    """(lo_tab, hi_tab) for h = m // 2: a sum s of two low codes maps to
-    lo_tab[s] = sum_i p^i (s_i mod p) over its h base-2p digits s_i, and a
-    sum of two high codes to hi_tab[s] = p^h sum_i p^i (s_i mod p) over its
-    m - h.  (2p)^h and (2p)^(m-h) entries; 6^6 at 3^12 and 10^5 at 5^10."""
-    h = m // 2
-    k = np.arange(2 * p, dtype=np.int64) % p
-    return tuple(
-        _flatten(_digit_sum(2 * p, [k * p ** (lo + i) for i in range(d)]), 2 * p, d)
-        for lo, d in ((0, h), (h, m - h))
-    )
+    """(lo_tab, hi_tab): a sum s of two low codes maps to sum_i p^i (s_i mod
+    p) over its base-2p digits s_i, and a sum of two high codes to p^h
+    times that; (2p)^h and (2p)^(m-h) entries, at most 10^5 under the cap."""
+    residue = np.arange(2 * p, dtype=np.int64) % p
+    flat = [p**i for i in range(m)]
+    return _digit_table(residue, flat[: m // 2]), _digit_table(residue, flat[m // 2 :])
 
 
 def _pair_sum(p: int, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """flat(u_i + v_j) for the codes u (2, nx) and v (2, ny) of _pair_codes,
     the sum taken digit-wise mod p; shape (nx, ny).
 
-    Every digit of a code is below p, so a base-2p digit of the sum of two
-    codes is at most 2p - 2 and the addition never carries from one digit
-    to the next.  Reducing each digit mod p is then one table read per
-    half:
+    A code's digits are below p, so a base-2p digit of the sum of two codes
+    is at most 2p - 2 and the addition never carries between digits:
 
         flat(u + v) = lo_tab[u_0 + v_0] + hi_tab[u_1 + v_1],
 
-    two adds and two reads per pair, whatever m is.  A run holds two int64
-    (nx, ny) arrays, which _pair_runs keeps to about _PAIR_BLOCK pairs.
+    two adds and two table reads per pair, whatever m is.
     """
     lo_tab, hi_tab = _code_sums(p, m)
     s = u[0][:, None] + v[0]
     idx = lo_tab[s]
     np.add(u[1][:, None], v[1], out=s)
-    idx += hi_tab.take(s, out=s, mode="clip")  # s is read before each write
+    # in place: take reads s[i] before writing s[i]; "clip" skips the copy
+    idx += hi_tab.take(s, out=s, mode="clip")
     return idx
 
 
