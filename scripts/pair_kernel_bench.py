@@ -72,7 +72,7 @@ def run(cases, repeats: int, number: int | None) -> list:
     return rows
 
 
-def main(argv=None) -> dict:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", help="write the record here instead of stdout")
@@ -94,7 +94,6 @@ def main(argv=None) -> dict:
             fh.write(text + "\n")
     else:
         print(text)
-    return record
 
 
 if __name__ == "__main__":

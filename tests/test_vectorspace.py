@@ -38,6 +38,29 @@ ALINE = DenseSubset.from_members(SP32, [0, 1, 2])
 spaces = st.sampled_from([SpaceDescriptor(3, 2), SpaceDescriptor(3, 4), SpaceDescriptor(5, 3), SpaceDescriptor(7, 2)])
 
 
+def _multipliers(p):
+    return (-1, 1, 2, (p + 1) // 2)
+
+
+def _check_pair_index(p, m, nx, ny, seed):
+    """_pair_index on random x, y against the digit codec, for every pair of
+    multipliers."""
+    gen = np.random.default_rng(seed)
+    x = gen.integers(0, p**m, size=nx)
+    y = gen.integers(0, p**m, size=ny)
+    for a in _multipliers(p):
+        for b in _multipliers(p):
+            got = _pair_index(p, m, x, y, a, b)
+            assert got.shape == (nx, ny) and got.dtype == np.int64
+            if m == 0:
+                assert not got.any()
+                continue
+            space = SpaceDescriptor(p, m)
+            dx, dy = space.digits(x), space.digits(y)
+            want = space.index((a * dx[:, None, :] + b * dy[None, :, :]) % p)
+            assert np.array_equal(got, want)
+
+
 class TestSpaceDescriptor:
     def test_rejects_bad_parameters(self):
         for p, n in [(2, 3), (4, 2), (9, 2), (3, 0), (3, 13), (13, 12), (15, 1)]:
@@ -141,21 +164,7 @@ class TestGroupOps:
     @example(m=1, nx=0, ny=4, seed=0)  # no x
     @example(m=2, nx=4, ny=0, seed=0)  # no y
     def test_pair_index_matches_codec(self, p, m, nx, ny, seed):
-        m = min(m, ORACLE_MAX_N[p])
-        gen = np.random.default_rng(seed)
-        x = gen.integers(0, p**m, size=nx)
-        y = gen.integers(0, p**m, size=ny)
-        for a in (-1, 1, 2, (p + 1) // 2):
-            for b in (-1, 1, 2, (p + 1) // 2):
-                got = _pair_index(p, m, x, y, a, b)
-                assert got.shape == (nx, ny)
-                if m == 0:
-                    assert not got.any()
-                    continue
-                space = SpaceDescriptor(p, m)
-                dx, dy = space.digits(x), space.digits(y)
-                want = space.index((a * dx[:, None, :] + b * dy[None, :, :]) % p)
-                assert np.array_equal(got, want)
+        _check_pair_index(p, min(m, ORACLE_MAX_N[p]), nx, ny, seed)
 
     @pytest.mark.parametrize(
         "p, m",
@@ -164,23 +173,9 @@ class TestGroupOps:
         [(3, 12), (5, 10), (7, 8), (11, 6), (13, 6), (3, 0), (13, 0), (3, 1), (13, 1)],
     )
     def test_pair_index_at_the_cap(self, p, m):
-        gen = np.random.default_rng(100 * p + m)
-        x = gen.integers(0, p**m, size=20)
-        y = gen.integers(0, p**m, size=20)
-        multipliers = (-1, 1, 2, (p + 1) // 2)
-        for a in multipliers:
-            for b in multipliers:
-                got = _pair_index(p, m, x, y, a, b)
-                assert got.shape == (20, 20) and got.dtype == np.int64
-                if m == 0:
-                    assert not got.any()
-                    continue
-                space = SpaceDescriptor(p, m)
-                dx, dy = space.digits(x), space.digits(y)
-                want = space.index((a * dx[:, None, :] + b * dy[None, :, :]) % p)
-                assert np.array_equal(got, want)
+        _check_pair_index(p, m, 20, 20, 100 * p + m)
         tables = [*_code_sums(p, m)]
-        for a in multipliers:
+        for a in _multipliers(p):
             tables += _code_spread(p, m, a % p)[1:]
         assert sum(t.nbytes for t in tables) <= 4 * 2**20
 
