@@ -139,9 +139,6 @@ class RegularityCertificate:
     set_card: int
     space_size: int
 
-    def edge_bound(self, x_card: int, y_card: int) -> float:
-        return self.delta * self.set_card * x_card * y_card / self.space_size
-
 
 def sigma_certificate(R: DenseSubset, sigma: float, delta: float) -> RegularityCertificate:
     if not 0 < sigma < 1 or not 0 < delta < 1:

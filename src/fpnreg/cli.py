@@ -53,14 +53,19 @@ from .vectorspace import (
 )
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, *fields) -> dict:
+    """The JSON object in path; InputError unless it has every named field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: malformed JSON ({e.msg})") from e
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    missing = [f for f in fields if not isinstance(data, dict) or f not in data]
+    if missing:
+        raise InputError(f"{path}: expected a JSON object with the field(s) {', '.join(missing)}")
+    return data
 
 
 def _resolve_space(args) -> SpaceDescriptor:
@@ -72,11 +77,14 @@ def _resolve_space(args) -> SpaceDescriptor:
 def _load_set(args) -> DenseSubset:
     if getattr(args, "members", None) is not None:
         space = _resolve_space(args)
-        members = [int(x) for x in args.members.split(",") if x.strip() != ""]
+        try:
+            members = [int(x) for x in args.members.split(",") if x.strip() != ""]
+        except ValueError as e:
+            raise InputError(f"--members must be comma-separated integers ({e})") from e
         return DenseSubset.from_members(space, members)
     if getattr(args, "set", None) is None:
         raise InputError("provide a set via --set FILE or --members LIST")
-    data = _load_json(args.set)
+    data = _load_json(args.set, "p", "n", "members")
     subset = subset_from_dict(data)
     if args.p is not None and (args.p, args.n) != (subset.space.p, subset.space.n):
         raise InputError(
@@ -88,7 +96,7 @@ def _load_set(args) -> DenseSubset:
 def _load_subspace(args, space: SpaceDescriptor) -> SubspaceBasis:
     if getattr(args, "subspace", None) is None:
         return SubspaceBasis.full(space)
-    basis = basis_from_dict(_load_json(args.subspace))
+    basis = basis_from_dict(_load_json(args.subspace, "p", "n", "rows"))
     if basis.space != space:
         raise InputError("subspace file disagrees with the ambient space")
     return basis

@@ -37,8 +37,7 @@ from .vectorspace import (
     SubspaceBasis,
     _check_index,
     _digit_reversal,
-    _flatten,
-    _linear_form,
+    _digit_table,
     _weights,
     same_space,
 )
@@ -102,23 +101,19 @@ def _dual_data(H: SubspaceBasis):
 
     freqs[k] has digit k_r at the r-th free coordinate F_r of H^perp, so
     eta_j = <rows[j], freqs[k]> = sum_r k_r rows[j, F_r] mod p is a linear
-    form in the digits of k and eta = sum_j eta_j p^j; no point is decoded.
+    form in the digits of k and eta = sum_j eta_j p^j: one _digit_table of
+    the matrix rows[:, F].T, with no point decoded.
     """
     if "dual" not in H._cache:
-        space = H.space
-        p = space.p
+        p = H.space.p
         perp = H.annihilator()
         freqs = perp.coset_reps()
         if len(freqs) != H.size:
             raise AssertionError("dual representative count must equal |H|")
-        eta = np.zeros((1,) * H.dim, dtype=np.int64)
-        for j, row in enumerate(H.rows):
-            eta = eta + p**j * _linear_form(p, row[list(perp.free)])
-        eta = _flatten(eta, p, H.dim)
+        eta = _digit_table(p, H.rows[:, list(perp.free)].T, [p**j for j in range(H.dim)])
         rep_for_eta = np.empty(H.size, dtype=np.int64)
         rep_for_eta[eta] = freqs
-        for arr in (eta, rep_for_eta):
-            arr.flags.writeable = False
+        rep_for_eta.flags.writeable = False
         H._cache["dual"] = (freqs, eta, rep_for_eta)
     return H._cache["dual"]
 

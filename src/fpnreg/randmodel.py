@@ -19,7 +19,7 @@ from .errors import ContractError, InputError
 from .fourier import full_spectrum
 from .rng import sample_without_replacement, substream, substreams
 from .threeap import DensityTestReport, density_test
-from .vectorspace import DenseSubset, SpaceDescriptor, _check_index, _flatten, _linear_form
+from .vectorspace import DenseSubset, SpaceDescriptor, _check_index, _digit_table
 
 _COUPLING_ATTEMPTS = 1000
 
@@ -186,8 +186,8 @@ def empirical_tail(
     xi = int(_check_index(space, xi))
     if xi == 0:
         raise InputError("xi must be nonzero (the mean is not centered at xi = 0)")
-    # <x, xi> for every flat x, as a broadcast linear form in the digits of x
-    phases = _flatten(_linear_form(space.p, space.digits(xi)), space.p, space.n)
+    # <x, xi> for every flat x: one linear form in the digits of x
+    phases = _digit_table(space.p, space.digits(xi)[:, None], (1,))
     cosines = np.cos(2 * np.pi * phases / space.p)
 
     hits = 0
@@ -335,12 +335,6 @@ class DensityFailureReport:
     failure_freq: float
     inner_freqs: tuple
 
-    @property
-    def is_refutation_based(self) -> bool:
-        """The estimate counts witnessed failures only, so it lower-bounds
-        the true failure probability."""
-        return True
-
 
 def mc_density_failure(
     space: SpaceDescriptor,
@@ -354,6 +348,8 @@ def mc_density_failure(
 
     Outer loop samples R, inner loop searches for 3AP-free alpha-subsets via
     density_test; R counts as failing when at least one witness appears.
+    The estimate counts witnessed failures only, so it lower-bounds the true
+    failure probability.
     """
     if not 0 <= r <= space.N:
         raise InputError(f"r must lie in [0, N = {space.N}], got {r}")

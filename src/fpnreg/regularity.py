@@ -62,9 +62,6 @@ class VectorClassification:
     def is_regular(self) -> bool:
         return self.irregular_mass <= self.eps * self.H.space.N
 
-    def irregular_reps(self) -> np.ndarray:
-        return self.reps[~self.regular]
-
 
 def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
     """sup over xi outside H^perp of |fhat(xi)| for the localization A_H^v."""
@@ -226,7 +223,7 @@ def refine_step(
     witnesses, new_h = _refine(H, cls)
     diag = RefineDiagnostics(
         witnesses=tuple(int(x) for x in witnesses),
-        energy_before=energy(A, H),
+        energy_before=_energy(cls.counts, H, A.card),
         energy_after=energy(A, new_h),
         index_before=space.N // H.size,
         index_after=space.N // new_h.size,

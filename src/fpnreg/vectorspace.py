@@ -87,18 +87,19 @@ def _weights(p: int, n: int) -> np.ndarray:
     return w
 
 
-def _check_index(space: SpaceDescriptor, index) -> np.ndarray:
-    idx = np.asarray(index, dtype=np.int64)
+def _check_index(space: SpaceDescriptor, index, what: str = "point index") -> np.ndarray:
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" and not (idx.dtype.kind == "f" and (idx % 1 == 0).all()):
+        raise InputError(f"{what} must hold integers")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= space.N):
-        raise InputError(f"point index out of range [0, {space.N})")
+        raise InputError(f"{what} out of range [0, {space.N})")
     return idx
 
 
-def _check_points(space: SpaceDescriptor, points) -> np.ndarray:
-    """Validated int64 indices from an integer array or any iterable of ints."""
-    if isinstance(points, np.ndarray) and points.dtype.kind in "iu":
-        return _check_index(space, points)
-    return _check_index(space, np.asarray(list(points), dtype=np.int64))
+def _check_points(space: SpaceDescriptor, points, what: str = "point index") -> np.ndarray:
+    """Validated int64 indices from an integer array or any iterable of integers."""
+    return _check_index(space, points if isinstance(points, np.ndarray) else list(points), what)
 
 
 def same_space(*objs) -> SpaceDescriptor:
@@ -143,41 +144,42 @@ def pairing(space: SpaceDescriptor, a, b):
     return space.pair(_check_index(space, a), _check_index(space, b))
 
 
-def _digit_sum(p: int, vectors) -> np.ndarray:
-    """sum_i vectors[i][k_i] on the (p,)*m tensor of k = sum_i k_i p^i.
+def _digit_table(p: int, M, weights, shift=None, base=None) -> np.ndarray:
+    """sum_c weights[c] ((sum_i k_i M[i, c] + shift[c]) mod p) over the flat
+    indices k = sum_i k_i b^i of the (b,)*m digit tensor, b = base or p and
+    m = len(M); int64, read-only.
 
-    Digit i is axis m - 1 - i.  An all-zero vector leaves its axis at length
-    1, so these tensors add by broadcasting and grow only along the axes
-    they use; _flatten spreads one over every k.
+    Every digit-indexed table is such an affine map of k's digits over
+    GF(p), read through the weights.  Digit i is axis m - 1 - i.  A column's
+    term spans only the axes of the digits it uses, the terms add by
+    broadcasting, and one spread over every k flattens the sum.  A column
+    that uses a single digit is a length-b vector, so only a column that
+    mixes digits takes a mod over a broadcast sum.
     """
-    m = len(vectors)
-    total = np.zeros((1,) * m, dtype=np.int64)
-    for i, vec in enumerate(vectors):
-        vec = np.asarray(vec, dtype=np.int64)
-        if vec.any():
-            shape = [1] * m
-            shape[m - 1 - i] = p
-            total = total + vec.reshape(shape)
-    return total
+    b = base or p
+    shifts = [0] * len(weights) if shift is None else [int(s) % p for s in shift]
+    affine = _affine_digits(p, b)
+    total = np.int64(0)
+    for col, w, s in zip(np.asarray(M, dtype=np.int64).T.tolist(), weights, shifts):
+        used = [(i, a % p) for i, a in enumerate(col) if a % p]
+        if len(used) == 1:
+            i, a = used[0]
+            total = total + (w * affine[a, s]).reshape((b,) + (1,) * i)
+        elif used or s:
+            form = s
+            for i, a in used:
+                form = form + affine[a, 0].reshape((b,) + (1,) * i)
+            total = total + w * (form % p)
+    table = np.ascontiguousarray(np.broadcast_to(total, (b,) * len(M))).reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
-def _linear_form(p: int, coeffs) -> np.ndarray:
-    """(sum_i coeffs[i] k_i) mod p as a _digit_sum tensor."""
-    k = np.arange(p, dtype=np.int64)
-    return _digit_sum(p, [k * (int(a) % p) for a in coeffs]) % p
-
-
-def _flatten(t: np.ndarray, p: int, m: int) -> np.ndarray:
-    """A _digit_sum tensor spread over the full (p,)*m digit tensor, flat."""
-    return np.ascontiguousarray(np.broadcast_to(t, (p,) * m)).reshape(-1)
-
-
-def _digit_table(values: np.ndarray, weights) -> np.ndarray:
-    """sum_i values[k_i] weights[i] over the flat indices k = sum_i k_i b^i
-    of the (b,)*m digit tensor, b = len(values) and m = len(weights).
-    Read-only, for the caches below."""
-    b = len(values)
-    table = _flatten(_digit_sum(b, [values * w for w in weights]), b, len(weights))
+@lru_cache(maxsize=None)
+def _affine_digits(p: int, b: int) -> np.ndarray:
+    """T[a, s, k] = (a k + s) mod p for a, s < p and the digits k < b."""
+    a, s, k = np.ogrid[:p, :p, :b]
+    table = (a * k + s) % p
     table.flags.writeable = False
     return table
 
@@ -185,14 +187,14 @@ def _digit_table(values: np.ndarray, weights) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _digit_perm(p: int, m: int, c: int) -> np.ndarray:
     """The flat index of c*x for every x in the (p,)*m digit tensor."""
-    return _digit_table(np.arange(p, dtype=np.int64) * c % p, [p**i for i in range(m)])
+    return _digit_table(p, c * np.eye(m, dtype=np.int64), _weights(p, m))
 
 
 @lru_cache(maxsize=None)
 def _digit_reversal(p: int, m: int) -> np.ndarray:
     """The flat index of x's digits in reverse order, for every x of the
     (p,)*m digit tensor: digit i moves to m - 1 - i.  An involution."""
-    return _digit_table(np.arange(p, dtype=np.int64), [p ** (m - 1 - i) for i in range(m)])
+    return _digit_table(p, np.eye(m, dtype=np.int64), _weights(p, m)[::-1])
 
 
 def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
@@ -239,9 +241,8 @@ def _pair_index(p: int, m: int, x: np.ndarray, y: np.ndarray, a: int, b: int) ->
 def _code_spread(p: int, m: int, a: int) -> tuple:
     """(p^h, lo, hi) for h = m // 2: lo[r] is the base-2p code of the
     digits of a*r for r < p^h, and hi[q] that of a*q for q < p^(m-h)."""
-    step = np.arange(p, dtype=np.int64) * a % p
-    code = [(2 * p) ** i for i in range(m)]
-    return p ** (m // 2), _digit_table(step, code[: m // 2]), _digit_table(step, code[: m - m // 2])
+    h, eye, code = m // 2, a * np.eye(m, dtype=np.int64), [(2 * p) ** i for i in range(m)]
+    return p**h, _digit_table(p, eye[:h, :h], code[:h]), _digit_table(p, eye[h:, h:], code[: m - h])
 
 
 def _pair_codes(p: int, m: int, x: np.ndarray, a: int) -> np.ndarray:
@@ -259,9 +260,9 @@ def _code_sums(p: int, m: int) -> tuple:
     """(lo_tab, hi_tab): a sum s of two low codes maps to sum_i p^i (s_i mod
     p) over its base-2p digits s_i, and a sum of two high codes to p^h
     times that; (2p)^h and (2p)^(m-h) entries, at most 10^5 under the cap."""
-    residue = np.arange(2 * p, dtype=np.int64) % p
-    flat = [p**i for i in range(m)]
-    return _digit_table(residue, flat[: m // 2]), _digit_table(residue, flat[m // 2 :])
+    h, eye, flat = m // 2, np.eye(m, dtype=np.int64), _weights(p, m)
+    lo_tab = _digit_table(p, eye[:h, :h], flat[:h], base=2 * p)
+    return lo_tab, _digit_table(p, eye[h:, h:], flat[h:], base=2 * p)
 
 
 def _pair_sum(p: int, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -473,34 +474,28 @@ class SubspaceBasis:
         """Coordinates that are not pivots, ascending: the axes of V/H."""
         return tuple(f for f in range(self.space.n) if f not in self.pivots)
 
-    def _coeff_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _coeff_tables(self) -> tuple[np.ndarray, tuple]:
         """(pivot_part, free_digits) over the coefficient indices c.
 
-        h_c = sum_j c_j rows[j] for c = sum_j c_j p^j.  Row j is 1 at pivot j
-        and 0 at the other pivots, so h_c has digit c_j there:
-        pivot_part[c] = sum_j c_j p^(pivots[j]).  free_digits[r, c] is the
-        digit of h_c at free coordinate r, (sum_j c_j rows[j, free[r]]) mod p.
+        h_c = sum_j c_j rows[j] for c = sum_j c_j p^j, so h_c's digit at
+        coordinate f is (sum_j c_j rows[j, f]) mod p.  Row j is 1 at pivot j
+        and 0 at the other pivots, so that digit is c_j at pivot j:
+        pivot_part[c] = sum_j c_j p^(pivots[j]), the _digit_table of the
+        identity (the pivot columns of rows).  free_digits[r][c] is the digit
+        of h_c at the free coordinate free[r], the _digit_table of that column.
         """
         if "coeff_tables" not in self._cache:
-            p = self.space.p
-            k = np.arange(p, dtype=np.int64)
-            pivot_part = _flatten(_digit_sum(p, [k * p**pc for pc in self.pivots]), p, self.dim)
-            free_digits = np.empty((len(self.free), self.size), dtype=np.int64)
-            for r, f in enumerate(self.free):
-                free_digits[r] = _flatten(_linear_form(p, self.rows[:, f]), p, self.dim)
-            for arr in (pivot_part, free_digits):
-                arr.flags.writeable = False
+            p, rows = self.space.p, self.rows
+            pivot_part = _digit_table(p, np.eye(self.dim, dtype=np.int64), [p**pc for pc in self.pivots])
+            free_digits = tuple(_digit_table(p, rows[:, [f]], (1,)) for f in self.free)
             self._cache["coeff_tables"] = (pivot_part, free_digits)
         return self._cache["coeff_tables"]
 
     def _coeff_elements(self) -> np.ndarray:
-        """Element indices in coefficient-lex order: entry c is h_c."""
+        """Element indices in coefficient-lex order: entry c is h_c, the
+        _digit_table of every column of rows."""
         if "coeff_elements" not in self._cache:
-            pivot_part, free_digits = self._coeff_tables()
-            fw = np.array([self.space.p**f for f in self.free], dtype=np.int64)
-            elems = pivot_part + fw @ free_digits
-            elems.flags.writeable = False
-            self._cache["coeff_elements"] = elems
+            self._cache["coeff_elements"] = _digit_table(self.space.p, self.rows, self.space.weights)
         return self._cache["coeff_elements"]
 
     def elements(self) -> np.ndarray:
@@ -535,11 +530,8 @@ class SubspaceBasis:
         at every pivot.  Entry k has digit k_r at free[r], where
         k = sum_r k_r p^r, so the entry's position is its coset id."""
         if "coset_reps" not in self._cache:
-            p = self.space.p
-            k = np.arange(p, dtype=np.int64)
-            reps = _flatten(_digit_sum(p, [k * p**f for f in self.free]), p, len(self.free))
-            reps.flags.writeable = False
-            self._cache["coset_reps"] = reps
+            p, q = self.space.p, len(self.free)
+            self._cache["coset_reps"] = _digit_table(p, np.eye(q, dtype=np.int64), [p**f for f in self.free])
         return self._cache["coset_reps"]
 
     def _localization(self, v: int, s: int = 0) -> np.ndarray:
@@ -547,11 +539,15 @@ class SubspaceBasis:
 
         x_t has digit t_r at the free coordinate F_r for r < s, where
         t = sum_r t_r p^r, and 0 elsewhere.  h_c - v has digit
-        (c_j - v_(P_j)) mod p at pivot P_j and (free_digits[r, c] - v_(F_r))
+        (c_j - v_(P_j)) mod p at pivot P_j and (free_digits[r][c] - v_(F_r))
         mod p at F_r, so
 
             flat(h_c - v) = sum_j p^(P_j) ((c_j - v_(P_j)) mod p)
-                          + sum_r p^(F_r) ((free_digits[r, c] - v_(F_r)) mod p).
+                          + sum_r p^(F_r) ((free_digits[r][c] - v_(F_r)) mod p).
+
+        The pivot sum is the cached pivot_part, or at v_P != 0 the _digit_table
+        of its map shifted by -v_P; the free terms read the cached free_digits,
+        so no call rebuilds a free-digit form.
 
         Column 0 is the localization row of v: A.mask[G[:, 0]] is A_H^v in
         coefficient order.  When v = coset_reps()[k] with k a multiple of
@@ -560,19 +556,19 @@ class SubspaceBasis:
         digit of t.  G is the transposed view of a C-order (p**s, |H|) array.
         """
         p, free = self.space.p, self.free
-        vd = (int(v) // self.space.weights) % p
+        vd = ((int(v) // self.space.weights) % p).tolist()
         k = np.arange(p, dtype=np.int64)
         g, free_digits = self._coeff_tables()  # g: the pivot sum at v_P = 0
-        if vd[list(self.pivots)].any():
-            g = _flatten(_digit_sum(p, [p**pc * ((k - vd[pc]) % p) for pc in self.pivots]), p, self.dim)
-        for r in range(s, len(free)):
-            g = g + p ** free[r] * ((free_digits[r] - vd[free[r]]) % p)
-        # built as (p,)*s + (|H|,) with digit t_r on axis s - 1 - r, so the
-        # long coefficient axis stays innermost while the broadcasts grow
-        for r in range(s):
-            shape = [1] * s + [self.size]
-            shape[s - 1 - r] = p
-            g = g + (p ** free[r] * ((free_digits[r] - vd[free[r]] - k[:, None]) % p)).reshape(shape)
+        if any(vd[pc] for pc in self.pivots):
+            eye = np.eye(self.dim, dtype=np.int64)
+            g = _digit_table(p, eye, [p**pc for pc in self.pivots], shift=[-vd[pc] for pc in self.pivots])
+        # built as (p,)*s + (|H|,) with digit t_r on axis s - 1 - r, so the long
+        # coefficient axis stays innermost; |H|-long terms first, then broadcasts
+        for r in [*range(s, len(free)), *range(s)]:
+            d = free_digits[r] - vd[free[r]]
+            if r < s:
+                d = (d - k[:, None]).reshape((p,) + (1,) * r + (self.size,))
+            g = g + p ** free[r] * (d % p)
         return g.reshape(p**s, self.size).T
 
     def coset_system(self) -> "CosetSystem":
@@ -614,21 +610,13 @@ class CosetSystem:
 def _build_coset_system(H: SubspaceBasis) -> CosetSystem:
     """reps from H.coset_reps() and the N-array of linear coset ids.
 
-    The id digit of free coordinate F_r is a linear form in x_{F_r} and the
-    pivot digits with a nonzero R[j, F_r].  Summing the forms by
-    broadcasting grows the array by a factor p per new axis, so the build
-    costs about p/(p-1) N adds.
+    Id digit r is <x, null_r> mod p for the rows null_r of _null_rows(H),
+    which are 1 at F_r and -R[j, F_r] at P_j: one _digit_table over x's n
+    digits.  Each digit's form spans only the axes it uses and the forms add
+    by broadcasting, so the build costs about p/(p-1) N adds.
     """
-    space = H.space
-    p, n = space.p, space.n
-    ids = np.zeros((1,) * n, dtype=np.int64)
-    for r, f in enumerate(H.free):
-        coeffs = np.zeros(n, dtype=np.int64)
-        coeffs[f] = 1
-        coeffs[list(H.pivots)] = -H.rows[:, f]
-        ids = ids + p**r * _linear_form(p, coeffs)
-    ids = _flatten(ids, p, n)
-    ids.flags.writeable = False
+    p = H.space.p
+    ids = _digit_table(p, _null_rows(H).T, [p**r for r in range(len(H.free))])
     return CosetSystem(H, H.coset_reps(), ids)
 
 
@@ -685,7 +673,7 @@ def subset_to_dict(A: DenseSubset) -> dict:
 
 def subset_from_dict(d: dict) -> DenseSubset:
     space = SpaceDescriptor(int(d["p"]), int(d["n"]))
-    return DenseSubset.from_members(space, d["members"])
+    return DenseSubset.from_members(space, _check_points(space, d["members"], "members"))
 
 
 def basis_to_dict(H: SubspaceBasis) -> dict:
@@ -698,7 +686,6 @@ def basis_to_dict(H: SubspaceBasis) -> dict:
 
 def basis_from_dict(d: dict) -> SubspaceBasis:
     space = SpaceDescriptor(int(d["p"]), int(d["n"]))
-    rows = np.asarray(d["rows"], dtype=np.int64).reshape(-1, space.n)
-    if rows.size and (rows.min() < 0 or rows.max() >= space.p):
-        raise InputError(f"basis digits must lie in [0, {space.p})")
-    return SubspaceBasis.from_rows(space, rows)
+    # basis digits lie in [0, p), the point indices of F_p^1
+    rows = _check_index(SpaceDescriptor(space.p, 1), d["rows"], "basis rows")
+    return SubspaceBasis.from_rows(space, rows.reshape(-1, space.n))

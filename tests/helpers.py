@@ -164,6 +164,17 @@ def validate_flower(flower, A: DenseSubset | None = None) -> list:
 # ---------------------------------------------------------------------------
 
 
+def digit_table_oracle(p: int, M, weights, shift, base: int) -> np.ndarray:
+    """sum_c weights[c] ((sum_i k_i M[i, c] + shift[c]) mod p) for every
+    k < base^m: decode k into its m base-`base` digits, multiply by M, add
+    the shift, reduce mod p and dot with the weights."""
+    M = np.asarray(M, dtype=np.int64)
+    m = M.shape[0]
+    k = np.arange(base**m, dtype=np.int64)
+    digits = (k[:, None] // base ** np.arange(m, dtype=np.int64)) % base
+    return ((digits @ M + np.asarray(shift, dtype=np.int64)) % p) @ np.asarray(weights, dtype=np.int64)
+
+
 def coset_labels_oracle(H: SubspaceBasis, index) -> np.ndarray:
     """Minimal flat index of index + H: decode, clear every pivot digit with
     its basis row, encode."""

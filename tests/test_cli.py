@@ -105,6 +105,33 @@ class TestErrors:
         status, _, err = run(capsys, ["fourier-check", "--p", "13", "--n", "12", "--trials", "1", "--seed", "1"])
         assert status == 2 and "cap" in err
 
+    @pytest.mark.parametrize(
+        "set_json, basis_json, field",
+        [
+            (None, None, "--members"),  # --members 0,a
+            ({"p": 3, "n": 2}, None, "members"),
+            ([0, 1, 2], None, "members"),
+            ({"p": 3, "n": 2, "members": [0, 1.7]}, None, "members"),  # not read as {0, 1}
+            ({"p": 3, "n": 2, "members": [0]}, {"p": 3, "n": 2}, "rows"),
+            ({"p": 3, "n": 2, "members": [0]}, {"p": 3, "n": 2, "rows": [[1, 1.5]]}, "rows"),
+        ],
+        ids=["members-not-integers", "set-without-members", "set-is-array", "member-1.7",
+             "basis-without-rows", "basis-digit-1.5"],
+    )
+    def test_malformed_set_and_basis_input(self, capsys, tmp_path, set_json, basis_json, field):
+        if set_json is None:
+            argv = ["roth-count", "--p", "3", "--n", "2", "--members", "0,a"]
+        else:
+            (tmp_path / "set.json").write_text(json.dumps(set_json))
+            argv = ["roth-count", "--set", str(tmp_path / "set.json")]
+        if basis_json is not None:
+            (tmp_path / "basis.json").write_text(json.dumps(basis_json))
+            argv = ["klr11", "--set", str(tmp_path / "set.json"), "--subspace", str(tmp_path / "basis.json"),
+                    "--t1", "1", "--t2", "1", "--trials", "2", "--seed", "1"]
+        status, out, err = run(capsys, argv)
+        assert status == 2 and out == ""
+        assert field in err and "Traceback" not in err
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["tower", "--p", "3", "--t", "1", "--frobnicate"])

@@ -234,6 +234,7 @@ class TestRefineStep:
             if cls.is_regular:
                 continue
             h2, diag = refine_step(A, H, eps, cls)
+            assert diag.energy_before == energy(A, H)  # read from cls.counts, to the last bit
             assert diag.increment >= eps**3 - 1e-9
             assert diag.index_after <= diag.index_before * 3**diag.index_before
             assert h2.size < H.size

@@ -14,6 +14,7 @@ from fpnreg.vectorspace import (
     coset_representatives,
     _code_spread,
     _code_sums,
+    _digit_table,
     _dilate,
     _pair_index,
     digits_to_index,
@@ -28,7 +29,7 @@ from fpnreg.vectorspace import (
     subset_to_dict,
 )
 
-from helpers import ORACLE_MAX_N, PRIMES
+from helpers import ORACLE_MAX_N, PRIMES, digit_table_oracle
 
 SP32 = SpaceDescriptor(3, 2)
 SP33 = SpaceDescriptor(3, 3)
@@ -143,6 +144,36 @@ class TestGroupOps:
         rhs = (int(pairing(space, a, c)) + int(pairing(space, b, c))) % space.p
         assert lhs == rhs
         assert int(pairing(space, a, b)) == int(pairing(space, b, a))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(
+        m=st.integers(0, 5),
+        kinds=st.lists(st.sampled_from(("zero", "single", "dense")), max_size=4),
+        shifted=st.booleans(),
+        doubled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=0, kinds=["dense", "single"], shifted=True, doubled=False, seed=0)  # the one-point tensor
+    @example(m=3, kinds=["zero", "dense"], shifted=False, doubled=False, seed=1)  # an all-zero column
+    @example(m=3, kinds=["zero", "single"], shifted=True, doubled=True, seed=2)
+    def test_digit_table_matches_codec(self, p, m, kinds, shifted, doubled, seed):
+        gen = np.random.default_rng(seed)
+        base = 2 * p if doubled else p
+        while base**m > 30_000:  # keep the oracle's decode small
+            m -= 1
+        M = np.zeros((m, len(kinds)), dtype=np.int64)
+        for c, kind in enumerate(kinds):
+            if m and kind == "single":
+                M[gen.integers(m), c] = gen.integers(1, p)
+            elif kind == "dense":
+                M[:, c] = gen.integers(1, p, size=m)
+        M -= p * gen.integers(0, 2, size=M.shape)  # entries count mod p
+        shift = gen.integers(-p, 2 * p, size=len(kinds)) if shifted else None
+        weights = gen.integers(1, 100, size=len(kinds))
+        got = _digit_table(p, M, weights, shift, base if doubled else None)
+        want = digit_table_oracle(p, M, weights, np.zeros(len(kinds)) if shift is None else shift, base)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("p", PRIMES)
     @given(n=st.integers(1, max(ORACLE_MAX_N.values())))
