@@ -418,22 +418,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "batch":
-        manifest = _load_json(args.manifest)
-        runs = manifest.get("runs")
-        if not isinstance(runs, list):
-            print("manifest must contain a 'runs' list of argv arrays", file=sys.stderr)
-            return 2
-        status = 0
-        for i, run_argv in enumerate(runs):
-            if not isinstance(run_argv, list) or (run_argv and run_argv[0] == "batch"):
-                print(f"run {i}: invalid argv entry", file=sys.stderr)
-                return 2
-            status = max(status, main([str(x) for x in run_argv]))
-        return status
-
     started = time.perf_counter()
     try:
+        if args.command == "batch":
+            runs = _load_json(args.manifest, "runs")["runs"]
+            if not isinstance(runs, list):
+                raise InputError("manifest must contain a 'runs' list of argv arrays")
+            status = 0
+            for i, run_argv in enumerate(runs):
+                if not isinstance(run_argv, list) or (run_argv and run_argv[0] == "batch"):
+                    raise InputError(f"run {i}: invalid argv entry")
+                status = max(status, main([str(x) for x in run_argv]))
+            return status
         status, text = run_command(args)
         _emit(text, args.out)
     except (InputError, ContractError) as e:

@@ -38,7 +38,9 @@ from .vectorspace import (
     _check_index,
     _digit_reversal,
     _digit_table,
+    _null_rows,
     _weights,
+    basis_from_dict,
     same_space,
 )
 
@@ -96,8 +98,8 @@ def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.n
 
 
 def _dual_data(H: SubspaceBasis):
-    """(freqs, eta, rep_for_eta): canonical dual reps of V/H^perp, their
-    coefficient-space frequency for the tensor transform, and the inverse map.
+    """(freqs, eta): canonical dual reps of V/H^perp, ascending, and their
+    coefficient-space frequency for the transforms of dft and _idft_complex.
 
     freqs[k] has digit k_r at the r-th free coordinate F_r of H^perp, so
     eta_j = <rows[j], freqs[k]> = sum_r k_r rows[j, F_r] mod p is a linear
@@ -111,10 +113,7 @@ def _dual_data(H: SubspaceBasis):
         if len(freqs) != H.size:
             raise AssertionError("dual representative count must equal |H|")
         eta = _digit_table(p, H.rows[:, list(perp.free)].T, [p**j for j in range(H.dim)])
-        rep_for_eta = np.empty(H.size, dtype=np.int64)
-        rep_for_eta[eta] = freqs
-        rep_for_eta.flags.writeable = False
-        H._cache["dual"] = (freqs, eta, rep_for_eta)
+        H._cache["dual"] = (freqs, eta)
     return H._cache["dual"]
 
 
@@ -187,13 +186,11 @@ class Spectrum:
         return self.base.space
 
     def value_at(self, xi: int) -> complex:
-        """Entry for any xi in V, resolved through its coset mod base^perp:
-        xi and its canonical rep have the same eta = rows . xi."""
-        space, H = self.space, self.base
+        """Entry for any xi in V, at xi's coset id mod base^perp: freqs are
+        base^perp.coset_reps(), and an entry's position is its coset id."""
+        space, perp = self.space, self.base.annihilator()
         xi = int(_check_index(space, xi))
-        eta = (H.rows @ space.digits(xi)) % space.p @ _weights(space.p, H.dim)
-        rep = int(_dual_data(H)[2][eta])
-        pos = int(np.searchsorted(self.freqs, rep))
+        pos = (_null_rows(perp) @ space.digits(xi)) % space.p @ _weights(space.p, self.base.dim)
         return complex(self.values[pos])
 
     def sup_nontrivial(self) -> float:
@@ -224,14 +221,14 @@ def dft(f: DenseFunction, H: SubspaceBasis) -> Spectrum:
     """Transform of f with respect to H."""
     g = _coeff_values(f, H)
     ghat = _multi_dft(g, H.space.p, H.dim) / H.size
-    freqs, eta, _ = _dual_data(H)
+    freqs, eta = _dual_data(H)
     return Spectrum(H, freqs, ghat[eta])
 
 
 def _idft_complex(s: Spectrum) -> np.ndarray:
     """Inverse transform, complex, aligned with base.elements()."""
     H = s.base
-    _, eta, _ = _dual_data(H)
+    _, eta = _dual_data(H)
     ghat = np.zeros(H.size, dtype=complex)
     ghat[eta] = s.values
     g = _multi_dft(ghat, H.space.p, H.dim, inverse=True)
@@ -338,8 +335,7 @@ def spectrum_to_dict(s: Spectrum) -> dict:
 
 
 def spectrum_from_dict(d: dict) -> Spectrum:
-    space = SpaceDescriptor(int(d["p"]), int(d["n"]))
-    base = SubspaceBasis.from_rows(space, np.asarray(d["H_rows"], dtype=np.int64).reshape(-1, space.n))
+    base = basis_from_dict(d, "H_rows")
     entries = d["entries"]
     freqs = np.asarray([e[0] for e in entries], dtype=np.int64)
     values = np.asarray([complex(e[1], e[2]) for e in entries])

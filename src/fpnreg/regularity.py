@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InputError
-from .fourier import _dual_data, _pass_loop
+from .fourier import _pass_loop
 from .vectorspace import (
     DenseSubset,
     SpaceDescriptor,
     SubspaceBasis,
     _check_index,
-    _dilate,
+    _null_rows,
+    _weights,
     annihilator_within,
     same_space,
 )
@@ -33,6 +34,8 @@ from .vectorspace import (
 ENERGY_TOL = 1e-9
 
 _SCAN_BLOCK = 1 << 20
+# Tied entries decoded into witnesses at once; bounds the digit arrays.
+_WITNESS_CHUNK = 1 << 15
 
 # Spectrum magnitudes (normalized by |H|) this close to the per-coset sup
 # count as tied maximizers; round-off is about 1e-16 of them.
@@ -73,18 +76,15 @@ def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
     return float(np.abs(spec[1:]).max()) / H.size
 
 
-def _witness_table(H: SubspaceBasis) -> np.ndarray:
-    """For each stored eta of the half spectrum (top coefficient digit at most
-    (p-1)/2), the smaller canonical dual rep of the cosets of eta and -eta;
-    |fhat| is equal on the two, so both are tied maximizers together."""
-    if "witness_table" not in H._cache:
-        p, d = H.space.p, H.dim
-        xi_of_eta = _dual_data(H)[2]
-        table = np.minimum(xi_of_eta, xi_of_eta[_dilate(np.arange(H.size), p, d, -1)])
-        table = table[: (p + 1) // 2 * p ** (d - 1)]
-        table.flags.writeable = False
-        H._cache["witness_table"] = table
-    return H._cache["witness_table"]
+def _witnesses(H: SubspaceBasis, eta: np.ndarray) -> np.ndarray:
+    """min(rep(eta), rep(-eta)), the canonical dual reps of two tied entries.
+    Row j of H is 1 at pivot P_j and 0 at the other pivots, so xi = sum_j
+    eta_j e_(P_j) has <rows[j], xi> = eta_j; rep(eta) has digit (N xi)_r mod p
+    at F_r, for N = _null_rows(H^perp) and F the free coordinates of H^perp."""
+    p, perp = H.space.p, H.annihilator()
+    ids = _null_rows(perp)[:, list(H.pivots)] @ (eta // _weights(p, H.dim)[:, None] % p) % p
+    place = p ** np.array(perp.free, dtype=np.int64)
+    return np.minimum(place @ ids, place @ (-ids % p))
 
 
 def _scan_blocks(A: DenseSubset, H: SubspaceBasis):
@@ -114,7 +114,8 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
     with the sup when its |H|-normalized magnitude is within _TIE_MARGIN of
     it and above the threshold: exactly tied frequencies, such as every
     nontrivial one of a one-point localization, then do not depend on
-    round-off.
+    round-off.  Only the tied entries of irregular cosets are mapped to dual
+    reps (_witnesses), _WITNESS_CHUNK at a time, so no |H|-sized table is kept.
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -126,7 +127,6 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
     sups = np.zeros(K)
     counts = np.zeros(K, dtype=np.int64)
     witnesses = np.full(K, -1, dtype=np.int64)
-    no_tie = np.iinfo(np.int64).max
 
     for lo, vecs in _scan_blocks(A, H):
         hi = lo + vecs.shape[1]
@@ -139,7 +139,11 @@ def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClas
             if irr.size:
                 top = spec[irr]
                 ties = (top >= sups[lo + irr, None] - _TIE_MARGIN) & (top > threshold)
-                witnesses[lo + irr] = np.where(ties, _witness_table(H)[1:], no_tie).min(axis=1)
+                hits, best = np.flatnonzero(ties), np.full(irr.size, np.iinfo(np.int64).max)
+                for a in range(0, hits.size, _WITNESS_CHUNK):
+                    row, col = np.divmod(hits[a : a + _WITNESS_CHUNK], ties.shape[1])
+                    np.minimum.at(best, row, _witnesses(H, col + 1))
+                witnesses[lo + irr] = best
 
     regular = sups <= threshold
     irregular_mass = int((~regular).sum()) * H.size

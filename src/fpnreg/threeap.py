@@ -34,6 +34,7 @@ from .vectorspace import (
     _pair_runs,
     _pair_step,
     _pair_sum,
+    basis_from_dict,
     same_space,
 )
 
@@ -529,9 +530,8 @@ def flower_to_dict(f: Flower) -> dict:
 
 
 def flower_from_dict(d: dict) -> Flower:
-    space = SpaceDescriptor(int(d["p"]), int(d["n"]))
-    H = SubspaceBasis.from_rows(space, np.asarray(d["H_rows"], dtype=np.int64).reshape(-1, space.n))
-    parts = tuple(DenseSubset.from_members(space, mem) for mem in d["parts"])
+    H = basis_from_dict(d, "H_rows")
+    parts = tuple(DenseSubset.from_members(H.space, mem) for mem in d["parts"])
     return Flower(
         H=H,
         parts=parts,

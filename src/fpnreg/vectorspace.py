@@ -88,7 +88,10 @@ def _weights(p: int, n: int) -> np.ndarray:
 
 
 def _check_index(space: SpaceDescriptor, index, what: str = "point index") -> np.ndarray:
-    idx = np.asarray(index)
+    try:
+        idx = np.asarray(index)
+    except ValueError as e:  # ragged nesting
+        raise InputError(f"{what} must hold integers") from e
     if idx.dtype.kind not in "iu" and not (idx.dtype.kind == "f" and (idx % 1 == 0).all()):
         raise InputError(f"{what} must hold integers")
     idx = idx.astype(np.int64, copy=False)
@@ -99,7 +102,12 @@ def _check_index(space: SpaceDescriptor, index, what: str = "point index") -> np
 
 def _check_points(space: SpaceDescriptor, points, what: str = "point index") -> np.ndarray:
     """Validated int64 indices from an integer array or any iterable of integers."""
-    return _check_index(space, points if isinstance(points, np.ndarray) else list(points), what)
+    if not isinstance(points, np.ndarray):
+        try:
+            points = list(points)
+        except TypeError as e:
+            raise InputError(f"{what} must be a list of integers") from e
+    return _check_index(space, points, what)
 
 
 def same_space(*objs) -> SpaceDescriptor:
@@ -590,9 +598,11 @@ class CosetSystem:
     ids follow the ascending order of the representatives and V/H is the
     (p,)*(n - dim H) digit tensor of the ids.  It holds reps (K int64, the
     same array as H.coset_reps()) and coset_id (one int64 N-array), which
-    only rep_of reads.  No library computation builds it (the scan, the
-    counts and Spectrum.value_at read H.coset_reps(), H._localization and
-    the dual data); it serves explicit callers: tests, scripts and users.
+    only rep_of reads.  No library computation builds it: the scan and the
+    counts read H.coset_reps() and H._localization, Spectrum.value_at and
+    the scan's witnesses take coset ids mod H^perp from _null_rows, and only
+    dft and its inverse read the dual data.  It serves explicit callers:
+    tests, scripts and users.
     """
 
     subspace: SubspaceBasis
@@ -671,8 +681,16 @@ def subset_to_dict(A: DenseSubset) -> dict:
     return {"p": A.space.p, "n": A.space.n, "members": [int(x) for x in A.members()]}
 
 
+def _space_from_dict(d: dict) -> SpaceDescriptor:
+    """The space of d's fields p and n: integers, or floats of integer value."""
+    p, n = np.asarray(d["p"]), np.asarray(d["n"])
+    if any(v.ndim or v.dtype.kind not in "iuf" or v % 1 for v in (p, n)):
+        raise InputError(f"p and n must be integers, got {d['p']!r} and {d['n']!r}")
+    return SpaceDescriptor(int(p), int(n))
+
+
 def subset_from_dict(d: dict) -> DenseSubset:
-    space = SpaceDescriptor(int(d["p"]), int(d["n"]))
+    space = _space_from_dict(d)
     return DenseSubset.from_members(space, _check_points(space, d["members"], "members"))
 
 
@@ -684,8 +702,16 @@ def basis_to_dict(H: SubspaceBasis) -> dict:
     }
 
 
-def basis_from_dict(d: dict) -> SubspaceBasis:
-    space = SpaceDescriptor(int(d["p"]), int(d["n"]))
+def basis_from_dict(d: dict, key: str = "rows") -> SubspaceBasis:
+    """The span of d[key], a list of rows of n digits, in the space of d."""
+    space = _space_from_dict(d)
+    what = f"basis {key}"
+    try:
+        rows = np.asarray(d[key])
+    except ValueError as e:  # ragged rows
+        raise InputError(f"{what} must be rows of n = {space.n} digits") from e
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != space.n):
+        raise InputError(f"{what} must be rows of n = {space.n} digits, got shape {rows.shape}")
     # basis digits lie in [0, p), the point indices of F_p^1
-    rows = _check_index(SpaceDescriptor(space.p, 1), d["rows"], "basis rows")
+    rows = _check_index(SpaceDescriptor(space.p, 1), rows, what)
     return SubspaceBasis.from_rows(space, rows.reshape(-1, space.n))

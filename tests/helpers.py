@@ -193,6 +193,19 @@ def coset_system_oracle(H: SubspaceBasis):
     return reps, ids.reshape(-1)
 
 
+def witness_map_oracle(H: SubspaceBasis) -> np.ndarray:
+    """For every character eta < |H| of H, min(rep(xi), rep(-xi)) for the
+    xi with <rows[j], xi> = eta_j: rep is the canonical representative of
+    coset_system_oracle(H^perp), and every xi is decoded."""
+    space = H.space
+    reps, ids = coset_system_oracle(H.annihilator())
+    xi = np.arange(space.N, dtype=np.int64)
+    eta = (space.digits(xi) @ H.rows.T % space.p) @ space.p ** np.arange(H.dim, dtype=np.int64)
+    out = np.empty(H.size, dtype=np.int64)
+    out[eta] = np.minimum(reps[ids], reps[ids[space.neg(xi)]])
+    return out
+
+
 def coeff_elements_oracle(H: SubspaceBasis) -> np.ndarray:
     """h_c = (c_0, ..., c_{dim-1}) @ rows mod p for c = sum_j c_j p^j."""
     space = H.space

@@ -114,9 +114,15 @@ class TestErrors:
             ({"p": 3, "n": 2, "members": [0, 1.7]}, None, "members"),  # not read as {0, 1}
             ({"p": 3, "n": 2, "members": [0]}, {"p": 3, "n": 2}, "rows"),
             ({"p": 3, "n": 2, "members": [0]}, {"p": 3, "n": 2, "rows": [[1, 1.5]]}, "rows"),
+            ({"p": 3, "n": 2, "members": [0]}, {"p": 3, "n": 2, "rows": [[1, 0, 0]]}, "rows"),
+            ({"p": 3, "n": 2, "members": [0]}, {"p": 3, "n": 2, "rows": [[1, 0], [0]]}, "rows"),
+            ({"p": "x", "n": 2, "members": [0]}, None, "p and n"),
+            ({"p": 3, "n": 2, "members": 5}, None, "members"),
+            ({"p": 3, "n": 2, "members": [[1], [2, 3]]}, None, "members"),
         ],
         ids=["members-not-integers", "set-without-members", "set-is-array", "member-1.7",
-             "basis-without-rows", "basis-digit-1.5"],
+             "basis-without-rows", "basis-digit-1.5", "basis-row-of-3-digits-at-n-2",
+             "basis-rows-ragged", "set-p-not-a-number", "members-not-a-list", "members-ragged"],
     )
     def test_malformed_set_and_basis_input(self, capsys, tmp_path, set_json, basis_json, field):
         if set_json is None:
@@ -271,6 +277,23 @@ class TestBatch:
         manifest.write_text(json.dumps({"runs": "nope"}))
         status, _, err = run(capsys, ["batch", "--manifest", str(manifest)])
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[["tower", "--p", "3", "--t", "1"]]', "JSON object"),
+            (None, "cannot read"),
+            ('{"runs": [["tower",', "malformed JSON"),
+        ],
+        ids=["array", "missing-file", "malformed-json"],
+    )
+    def test_manifest_errors_exit_2(self, capsys, tmp_path, text, message):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        status, out, err = run(capsys, ["batch", "--manifest", str(manifest)])
+        assert status == 2 and out == ""
+        assert message in err and "Traceback" not in err
 
 
 def test_import_loads_no_scipy():

@@ -46,6 +46,7 @@ from helpers import (
     petal_graph_oracle,
     petal_search_oracle,
     run_peak_script,
+    witness_map_oracle,
 )
 
 
@@ -130,12 +131,22 @@ def test_localized_counts_match_codec(p, n, dim, seed, density, block):
 @example(n=3, dim=6, seed=1)
 def test_dual_data_matches_codec(p, n, dim, seed):
     space, H, _ = draw_case(p, n, dim, seed)
-    freqs, eta, rep_for_eta = _dual_data(H)
+    freqs, eta = _dual_data(H)
     assert np.array_equal(freqs, coset_system_oracle(H.annihilator())[0])
     # eta_j = <rows[j], xi> mod p, read from decoded digits
     want = (space.digits(freqs) @ H.rows.T % p) @ (p ** np.arange(H.dim, dtype=np.int64))
     assert np.array_equal(eta, want)
-    assert np.array_equal(rep_for_eta[eta], freqs)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(**cases)
+@example(n=1, dim=0, seed=0)  # n = 1, zero subspace
+@example(n=1, dim=1, seed=0)  # n = 1, full space
+@example(n=3, dim=1, seed=1)  # a line
+@example(n=3, dim=6, seed=1)  # full space
+def test_witness_map_matches_codec(p, n, dim, seed):
+    _, H, _ = draw_case(p, n, dim, seed)
+    assert np.array_equal(regularity._witnesses(H, np.arange(H.size)), witness_map_oracle(H))
 
 
 def test_restricted_sup_is_translation_invariant_within_the_coset():
@@ -328,6 +339,24 @@ def pair(space):  # two sets of min(2000, N) points: the count scans X x Y
     k = min(2000, space.N)
     return [DenseSubset.from_members(space, gen.choice(space.N, k, replace=False)) for _ in "XY"]
 
+# bytes of the distinct buffers a subspace keeps in its _cache, through
+# cached tuples and subspaces; a view counts its whole base
+def cached_bytes(obj, seen):
+    if isinstance(obj, SubspaceBasis):
+        obj = tuple(obj._cache.values())
+    if isinstance(obj, tuple):
+        return sum(cached_bytes(o, seen) for o in obj)
+    if not isinstance(obj, np.ndarray):
+        return 0
+    while isinstance(obj.base, np.ndarray):
+        obj = obj.base
+    fresh = id(obj) not in seen
+    seen.add(id(obj))
+    return obj.nbytes if fresh else 0
+
+def whole_space_scan(A, H):
+    return classify_vectors(A, SubspaceBasis.full(A.space), 0.1)
+
 ops = {
     "PetalGraph": lambda A, H: PetalGraph(A, H, A.space.N // 3, A.space.N - 7),
     "restricted_sup": lambda A, H: restricted_sup(A, H, A.space.N // 3),
@@ -335,6 +364,16 @@ ops = {
     "energy": energy,
     "PetalGraph(H = V)": lambda A, H: PetalGraph(A, SubspaceBasis.full(A.space), A.space.N // 3, A.space.N - 7),
     "edge_count_direct": lambda A, H: edge_count_direct(A, *pair(A.space)),
+    "classify_vectors(sparse, H = V)": whole_space_scan,
+    "classify_vectors(point, H = V)": whole_space_scan,
+}
+# the whole-space scans read their own sets: 10 sqrt(N) points of the
+# hyperplane x_0 = 0, or the single point N // 3
+sets = {
+    "classify_vectors(sparse, H = V)": lambda space, gen: DenseSubset.from_members(
+        space, space.p * gen.choice(space.N // space.p, int(10 * space.N**0.5), replace=False)
+    ),
+    "classify_vectors(point, H = V)": lambda space, gen: DenseSubset.from_members(space, [space.N // 3]),
 }
 op = ops[sys.argv[1]]
 small = SpaceDescriptor(5, 3)
@@ -343,10 +382,14 @@ space = SpaceDescriptor(int(sys.argv[2]), int(sys.argv[3]))
 gen = np.random.default_rng(0)
 H = SubspaceBasis.from_rows(space, gen.integers(0, space.p, size=(3, space.n)))
 assert H.dim == 3
-bits = gen.integers(0, 2, size=space.N, dtype=np.uint8)
-A = DenseSubset(space, bits.view(bool))
-_, reading = measure(lambda: op(A, H))
-print(json.dumps({"N": space.N, **reading}))
+if sys.argv[1] in sets:
+    A = sets[sys.argv[1]](space, gen)
+else:
+    bits = gen.integers(0, 2, size=space.N, dtype=np.uint8)
+    A = DenseSubset(space, bits.view(bool))
+result, reading = measure(lambda: op(A, H))
+cached = cached_bytes(result.H, set()) if hasattr(result, "H") else None
+print(json.dumps({"N": space.N, "cached_bytes": cached, **reading}))
 """
 
 
@@ -367,6 +410,19 @@ def test_localization_memory_budget_at_the_cap(op, budget):
     for p, n in ((5, 10), (13, 6)):
         N, peak = _peak(op, p, n)
         assert peak <= budget * N, (p, n)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "point"])
+@pytest.mark.parametrize("p, n", [(5, 10), (13, 6)])
+def test_whole_space_scan_memory_budget(p, n, kind):
+    """classify_vectors at H = V keeps no |H|-sized witness or dual table:
+    on 10 sqrt(N) points of a hyperplane, and on one point, whose every
+    entry ties, it peaks at most 32 N bytes above the set.  It leaves 8 N
+    bytes cached on V, the pivot table its localization reads, and a few
+    small tables."""
+    out = run_peak_script(_BUDGET_SCRIPT, f"classify_vectors({kind}, H = V)", p, n)
+    assert peak_bytes(out) <= 32 * out["N"]
+    assert out["cached_bytes"] <= 8 * out["N"] + 1024
 
 
 @pytest.mark.parametrize("p, n", [(3, 12), (5, 8)])

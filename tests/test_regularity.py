@@ -19,7 +19,7 @@ from fpnreg.regularity import (
 )
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localize
 
-from helpers import PRIMES, classify_oracle, random_subset, random_subspace
+from helpers import PRIMES, classify_oracle, random_subset, random_subspace, witness_map_oracle
 
 SP32 = SpaceDescriptor(3, 2)
 SP34 = SpaceDescriptor(3, 4)
@@ -162,7 +162,7 @@ class TestWitnessTies:
         # sits 5e-13 below it, and the entry holding xi = 1 is pushed 1e-12
         # below 1/9, inside the tie margin but under the threshold
         point = DenseSubset.from_members(SP32, [0])
-        table = regularity._witness_table(V32)
+        table = witness_map_oracle(V32)[:6]  # the stored half: eta_1 <= 1
         lowered = int(np.flatnonzero(table == 1)[0])
         exact = regularity._pass_loop
 
@@ -175,6 +175,20 @@ class TestWitnessTies:
             cls = classify_vectors(point, V32, 1 - 4.5e-12)
         assert not cls.is_regular
         assert cls.witness_freqs[0] == np.delete(table, [0, lowered]).min()
+
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_witnesses_decoded_in_chunks(self, chunk):
+        # a point ties every entry of its coset; a random set's irregular
+        # cosets tie few, so a chunk can end inside one coset or span several
+        gen = np.random.default_rng(4)
+        for space in (SP34, SpaceDescriptor(5, 2), SpaceDescriptor(7, 2), SpaceDescriptor(13, 2)):
+            line = SubspaceBasis.from_rows(space, [[1] * space.n])
+            for A in (DenseSubset.from_members(space, [space.N // 3]), random_subset(space, gen)):
+                for H in (SubspaceBasis.full(space), line, random_subspace(space, gen)):
+                    with mock.patch.object(regularity, "_WITNESS_CHUNK", chunk):
+                        got = classify_vectors(A, H, 0.3).witness_freqs
+                    assert np.array_equal(got, classify_oracle(A, H, 0.3, regularity._TIE_MARGIN)[3])
 
 
 class TestEnergy:
