@@ -338,5 +338,8 @@ def spectrum_from_dict(d: dict) -> Spectrum:
     base = basis_from_dict(d, "H_rows")
     entries = d["entries"]
     freqs = np.asarray([e[0] for e in entries], dtype=np.int64)
+    if not np.array_equal(freqs, base.annihilator().coset_reps()):
+        # value_at reads an entry by its position, the coset id of xi mod H^perp
+        raise InputError("spectrum entries must list the canonical reps of V/H^perp in ascending order")
     values = np.asarray([complex(e[1], e[2]) for e in entries])
     return Spectrum(base, freqs, values)

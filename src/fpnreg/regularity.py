@@ -80,84 +80,95 @@ def _witnesses(H: SubspaceBasis, eta: np.ndarray) -> np.ndarray:
     """min(rep(eta), rep(-eta)), the canonical dual reps of two tied entries.
     Row j of H is 1 at pivot P_j and 0 at the other pivots, so xi = sum_j
     eta_j e_(P_j) has <rows[j], xi> = eta_j; rep(eta) has digit (N xi)_r mod p
-    at F_r, for N = _null_rows(H^perp) and F the free coordinates of H^perp."""
+    at F_r, for N = _null_rows(H^perp) and F the free coordinates of H^perp.
+    N's pivot columns and the place values p^F are cached on H."""
     p, perp = H.space.p, H.annihilator()
-    ids = _null_rows(perp)[:, list(H.pivots)] @ (eta // _weights(p, H.dim)[:, None] % p) % p
-    place = p ** np.array(perp.free, dtype=np.int64)
+    if "witness_map" not in H._cache:
+        H._cache["witness_map"] = _null_rows(perp)[:, list(H.pivots)], H.space.weights[list(perp.free)]
+    null, place = H._cache["witness_map"]
+    ids = null @ (eta // _weights(p, H.dim)[:, None] % p) % p
     return np.minimum(place @ ids, place @ (-ids % p))
 
 
-def _scan_blocks(A: DenseSubset, H: SubspaceBasis):
-    """(lo, vecs) per aligned run of coset ids: vecs[c, t] = 1_A(h_c - reps[lo + t]).
-
-    A run holds p**s ids for the largest s with p**s |H| <= _SCAN_BLOCK (at
-    least one id), so any scan of N <= _SCAN_BLOCK points is one block.
-    """
+def _scan_blocks(H: SubspaceBasis):
+    """(lo, G) per aligned run of p**s coset ids, G = H._localization(reps[lo], s),
+    so A.mask[G][c, t] = 1_A(h_c - reps[lo + t]).  s <= n - dim H is the largest
+    with p**s |H| <= _SCAN_BLOCK, or 0: any scan of N <= _SCAN_BLOCK points is one block."""
     p, q = H.space.p, len(H.free)
     s = 0
     while s < q and p ** (s + 1) * H.size <= _SCAN_BLOCK:
         s += 1
     reps = H.coset_reps()
     for lo in range(0, len(reps), p**s):
-        yield lo, A.mask[H._localization(reps[lo], s)]
+        yield lo, H._localization(reps[lo], s)
+
+
+def _sups_and_witnesses(H: SubspaceBasis, vecs: np.ndarray, thresholds: np.ndarray):
+    """(sups, witnesses) of the columns of the (|H|, B) localization batch vecs
+    against thresholds[b] per column b; its spectra die with the call."""
+    spec = np.abs(_pass_loop(vecs, H.space.p, H.dim, real=True)[:, 1:])
+    sups = spec.max(axis=1) / H.size  # division is monotone: the max of the quotients
+    witnesses = np.full(sups.size, -1, dtype=np.int64)
+    irr = np.flatnonzero(sups > thresholds)
+    if irr.size:
+        top = spec[irr] / H.size
+        ties = (top >= sups[irr, None] - _TIE_MARGIN) & (top > thresholds[irr, None])
+        hits, best = np.flatnonzero(ties), np.full(irr.size, np.iinfo(np.int64).max)
+        for a in range(0, hits.size, _WITNESS_CHUNK):
+            row, col = np.divmod(hits[a : a + _WITNESS_CHUNK], ties.shape[1])
+            np.minimum.at(best, row, _witnesses(H, col + 1))
+        witnesses[irr] = best
+    return sups, witnesses
+
+
+def _scan(parts, H: SubspaceBasis, eps: float) -> list:
+    """classify_vectors of every part over H in one pass: each block's index is
+    built once, gathered through for every part and dropped, then the parts'
+    nonempty columns are transformed together, _SCAN_BLOCK entries at most."""
+    space = same_space(*parts, H)
+    reps, m = H.coset_reps(), len(parts)
+    thr = np.array([eps * A.card / space.N for A in parts])
+    sups, counts = np.zeros((m, len(reps))), np.zeros((m, len(reps)), dtype=np.int64)
+    witnesses = np.full((m, len(reps)), -1, dtype=np.int64)
+    for lo, G in _scan_blocks(H):
+        w = G.shape[1]
+        rows = np.empty((m * w, H.size), dtype=bool)  # row i w + t: part i, coset lo + t
+        for i, A in enumerate(parts):
+            rows[i * w : i * w + w] = A.mask[G.T]
+        del G
+        size = rows.sum(axis=1)
+        counts[:, lo : lo + w] = size.reshape(m, w)
+        live = np.flatnonzero(size) if H.size > 1 else []
+        # At dim 1, B columns make a B-row product that matmul rounds one way at
+        # B = 1 and another at B > 1, so a transform holds one column exactly
+        # when the block is one coset wide: a lone column of a wider one goes twice.
+        per = 1 if H.dim == 1 == w else max(1, _SCAN_BLOCK // H.size)
+        for a in range(0, len(live), per):
+            sel = live[a : a + per]
+            sel = np.repeat(sel, 2) if H.dim == 1 and sel.size == 1 < w else sel
+            part, t = np.divmod(sel, w)
+            sups[part, lo + t], witnesses[part, lo + t] = _sups_and_witnesses(H, rows[sel].T, thr[part])
+    regular = sups <= thr[:, None]
+    fields = zip(thr.tolist(), sups, counts, regular, witnesses, ((~regular).sum(axis=1) * H.size).tolist())
+    return [VectorClassification(H, eps, t, reps, *rest) for t, *rest in fields]
 
 
 def classify_vectors(A: DenseSubset, H: SubspaceBasis, eps: float) -> VectorClassification:
     """Classify every coset representative of V/H as regular or irregular.
 
     Regularity is coset-invariant, so scanning representatives covers V.
-    The localizations come from _scan_blocks, one aligned run of coset ids
-    at a time, laid out with the cosets as the trailing batch axis of one
-    real-entry transform.  Sups and witnesses are read from the stored half
-    spectrum (|fhat(-eta)| = |fhat(eta)|).  The witness per irregular coset
-    is the minimal flat index among the maximizers, where an entry ties
-    with the sup when its |H|-normalized magnitude is within _TIE_MARGIN of
-    it and above the threshold: exactly tied frequencies, such as every
-    nontrivial one of a one-point localization, then do not depend on
-    round-off.  Only the tied entries of irregular cosets are mapped to dual
-    reps (_witnesses), _WITNESS_CHUNK at a time, so no |H|-sized table is kept.
+    This is the one-part call of the joint scan (_scan) that _iterate runs
+    for all parts.  A coset with no point of A has sup 0 and no witness and
+    is never transformed; the others go through real-entry transforms, and
+    sups and witnesses are read from the stored half spectrum.  An irregular
+    coset's witness is the least flat index among its entries above the
+    threshold and within _TIE_MARGIN of the sup (|H|-normalized), so exact
+    ties, such as a one-point localization's, do not depend on round-off;
+    only those entries are mapped to dual reps, _WITNESS_CHUNK at a time.
     """
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    space = same_space(A, H)
-    reps = H.coset_reps()
-    K = len(reps)
-    threshold = eps * A.card / space.N
-
-    sups = np.zeros(K)
-    counts = np.zeros(K, dtype=np.int64)
-    witnesses = np.full(K, -1, dtype=np.int64)
-
-    for lo, vecs in _scan_blocks(A, H):
-        hi = lo + vecs.shape[1]
-        counts[lo:hi] = vecs.sum(axis=0)
-        if H.size > 1:
-            spec = np.abs(_pass_loop(vecs, space.p, H.dim, real=True)[:, 1:])
-            spec /= H.size
-            sups[lo:hi] = spec.max(axis=1)
-            irr = np.flatnonzero(sups[lo:hi] > threshold)
-            if irr.size:
-                top = spec[irr]
-                ties = (top >= sups[lo + irr, None] - _TIE_MARGIN) & (top > threshold)
-                hits, best = np.flatnonzero(ties), np.full(irr.size, np.iinfo(np.int64).max)
-                for a in range(0, hits.size, _WITNESS_CHUNK):
-                    row, col = np.divmod(hits[a : a + _WITNESS_CHUNK], ties.shape[1])
-                    np.minimum.at(best, row, _witnesses(H, col + 1))
-                witnesses[lo + irr] = best
-
-    regular = sups <= threshold
-    irregular_mass = int((~regular).sum()) * H.size
-    return VectorClassification(
-        H=H,
-        eps=eps,
-        threshold=threshold,
-        reps=reps,
-        sup_values=sups,
-        counts=counts,
-        regular=regular,
-        witness_freqs=witnesses,
-        irregular_mass=irregular_mass,
-    )
+    return _scan([A], H, eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +180,7 @@ def localized_counts(A: DenseSubset, H: SubspaceBasis) -> np.ndarray:
     """|A_H^v| for every coset representative v: the column sums of the
     blocks that classify_vectors scans."""
     same_space(A, H)
-    return np.concatenate([vecs.sum(axis=0) for _, vecs in _scan_blocks(A, H)])
+    return np.concatenate([A.mask[G].sum(axis=0) for _, G in _scan_blocks(H)])
 
 
 def _energy(counts: np.ndarray, H: SubspaceBasis, card: int) -> float:
@@ -278,6 +289,8 @@ def _validate_params(eps, alpha, floor):
 
 
 def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
+    """Refine from H = V on the lowest-index failing part.  Each visited H
+    costs one joint scan of all parts (_scan), whose counts give the energy."""
     space = same_space(*parts)
     step_cap, statement_cap = _step_caps(eps, alpha, m)
     H = SubspaceBasis.full(space)
@@ -285,7 +298,7 @@ def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
     trace, index_trace, mass_trace = [], [], []
     iterations = 0
     while True:
-        classes = [classify_vectors(A, H, eps) for A in parts]
+        classes = _scan(parts, H, eps)
         if nonempty:
             energies = (_energy(c.counts, H, A.card) for A, c in zip(parts, classes) if A.card)
             trace.append(float(sum(energies)))
@@ -308,11 +321,7 @@ def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
     claim_bound = claim_ok = None
     if sigma is not None and delta is not None and m == 1:
         claim_bound = (1 + delta) ** 2 * 4 / alpha**2
-        checked = [
-            e
-            for e, k in zip(trace, index_trace)
-            if space.N // k >= sigma * space.N
-        ]
+        checked = [e for e, k in zip(trace, index_trace) if space.N // k >= sigma * space.N]
         claim_ok = all(e <= claim_bound + ENERGY_TOL for e in checked)
 
     return RegularityReport(
@@ -345,8 +354,7 @@ def regularize(
     energy-bound check when A sits inside a (sigma, delta)-certified set, in
     which case d(A, H) <= (1+delta)^2 4/alpha^2 is asserted along the trace
     for every H of size >= sigma N).  An empty A is vacuously regular at V.
-    The energy of each visited H comes from the counts |A_H^v| of its
-    classification, so the trace costs no pass beyond the per-coset scan.
+    The energy trace costs no pass beyond the per-coset scan.
     """
     _validate_params(eps, alpha, floor)
     return _iterate([A], eps, alpha, floor, 1, sigma=sigma, delta=delta)
@@ -356,7 +364,10 @@ def regularize_multi(parts, eps: float, alpha: float, floor: int = 1) -> Regular
     """Find one H that is eps-regular for every part simultaneously.
 
     Refines on the lowest-index failing part using the summed energy; the
-    step cap is ceil(4 m^2 eps^-3 alpha^-2).  Parts must be disjoint.
+    step cap is ceil(4 m^2 eps^-3 alpha^-2).  Parts must be disjoint.  One
+    scan classifies every part per visited H; it peaks at about the 32 N
+    bytes of one part's scan plus (m - 1) N for the other parts' gathered
+    blocks, budgeted at 34 N for three sparse parts at 5^10 and 13^6.
     """
     parts = list(parts)
     if not parts:

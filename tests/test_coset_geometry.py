@@ -18,6 +18,7 @@ from fpnreg.fourier import DenseFunction, _dual_data, dft
 from fpnreg import regularity, vectorspace
 from fpnreg.randmodel import GreedyAdversary, mc_klr11
 from fpnreg.regularity import (
+    classify_vectors,
     energy,
     localized_counts,
     refine_step,
@@ -320,6 +321,60 @@ def test_each_refinement_costs_two_row_reductions(pn, monkeypatch):
         assert len(calls) == 2 + 2 * report.iterations
 
 
+@pytest.mark.parametrize("pn", [(3, 5), (5, 3), (7, 3), (13, 2)])
+def test_scan_transforms_only_nonempty_cosets(pn, monkeypatch):
+    """classify_vectors hands _pass_loop one column per coset that holds a
+    point: one for a one-point set, none for an empty set, and as many as
+    the nonempty cosets of a 5-point set.  At dim 1 a lone column goes in
+    twice, since matmul rounds a one-row product unlike a matrix product."""
+    space = SpaceDescriptor(*pn)
+    gen = np.random.default_rng(9)
+    columns = []
+    real = regularity._pass_loop
+
+    def counting(x, p, dim, **kwargs):
+        columns.append(x.size // p**dim)
+        return real(x, p, dim, **kwargs)
+
+    monkeypatch.setattr(regularity, "_pass_loop", counting)
+    point = DenseSubset.from_members(space, [int(gen.integers(0, space.N))])
+    five = DenseSubset.from_members(space, gen.choice(space.N, 5, replace=False))
+    for dim in range(1, space.n):
+        H = subspace_of_dim(space, dim, gen)
+        for A in (point, DenseSubset.empty(space), five):
+            columns.clear()
+            nonempty = int(np.count_nonzero(classify_vectors(A, H, 0.5).counts))
+            assert sum(columns) == nonempty + (dim == 1 and nonempty == 1), (dim, A.card)
+
+
+@pytest.mark.parametrize("block", [9, 1 << 20])
+def test_joint_scan_builds_each_index_block_once(block, monkeypatch):
+    """A 3-part regularize_multi builds one localization index per scan
+    block of each visited H, shared by the parts: K / p**s blocks for the
+    K = N / |H| cosets, with s the largest such that p**s <= K and
+    p**s |H| <= _SCAN_BLOCK."""
+    space = SpaceDescriptor(3, 6)
+    A = coset_union(space, 2, np.random.default_rng(8))
+    calls = []
+    real = SubspaceBasis._localization
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(SubspaceBasis, "_localization", counting)
+    monkeypatch.setattr(regularity, "_SCAN_BLOCK", block)
+    report = regularize_multi(canonical_split(A, 3), 0.2, 0.5)
+    assert report.iterations > 0
+    blocks = 0
+    for K in report.index_trace:
+        size, run = space.N // K, 1
+        while run * space.p <= K and run * space.p * size <= block:
+            run *= space.p
+        blocks += K // run
+    assert len(calls) == blocks
+
+
 # ---------------------------------------------------------------------------
 # Memory budget at the cap
 # ---------------------------------------------------------------------------
@@ -331,7 +386,7 @@ def test_each_refinement_costs_two_row_reductions(pn, monkeypatch):
 _BUDGET_SCRIPT = """
 import numpy as np
 from fpnreg.cayley import PetalGraph, edge_count_direct
-from fpnreg.regularity import classify_vectors, energy, restricted_sup
+from fpnreg.regularity import classify_vectors, energy, regularize_multi, restricted_sup
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
 
 def pair(space):  # two sets of min(2000, N) points: the count scans X x Y
@@ -357,6 +412,9 @@ def cached_bytes(obj, seen):
 def whole_space_scan(A, H):
     return classify_vectors(A, SubspaceBasis.full(A.space), 0.1)
 
+# with floor = N, regularize_multi stops after its one scan, at H = V
+MULTI = "regularize_multi(sparse parts, floor = N)"
+
 ops = {
     "PetalGraph": lambda A, H: PetalGraph(A, H, A.space.N // 3, A.space.N - 7),
     "restricted_sup": lambda A, H: restricted_sup(A, H, A.space.N // 3),
@@ -366,18 +424,27 @@ ops = {
     "edge_count_direct": lambda A, H: edge_count_direct(A, *pair(A.space)),
     "classify_vectors(sparse, H = V)": whole_space_scan,
     "classify_vectors(point, H = V)": whole_space_scan,
+    MULTI: lambda parts, H: regularize_multi(parts, 0.1, 0.5, floor=parts[0].space.N),
 }
 # the whole-space scans read their own sets: 10 sqrt(N) points of the
-# hyperplane x_0 = 0, or the single point N // 3
+# hyperplane x_0 = 0, or the single point N // 3, or three disjoint sets
+# of 10 sqrt(N) points of that hyperplane
+def sparse_parts(space, gen):
+    k = int(10 * space.N**0.5)
+    pts = space.p * gen.choice(space.N // space.p, 3 * k, replace=False)
+    return [DenseSubset.from_members(space, pts[i * k : i * k + k]) for i in range(3)]
+
 sets = {
     "classify_vectors(sparse, H = V)": lambda space, gen: DenseSubset.from_members(
         space, space.p * gen.choice(space.N // space.p, int(10 * space.N**0.5), replace=False)
     ),
     "classify_vectors(point, H = V)": lambda space, gen: DenseSubset.from_members(space, [space.N // 3]),
+    MULTI: sparse_parts,
 }
 op = ops[sys.argv[1]]
 small = SpaceDescriptor(5, 3)
-op(DenseSubset.full(small), SubspaceBasis.from_rows(small, [[1, 2, 0]]))
+warm = DenseSubset.full(small)
+op([warm] if sys.argv[1] == MULTI else warm, SubspaceBasis.from_rows(small, [[1, 2, 0]]))
 space = SpaceDescriptor(int(sys.argv[2]), int(sys.argv[3]))
 gen = np.random.default_rng(0)
 H = SubspaceBasis.from_rows(space, gen.integers(0, space.p, size=(3, space.n)))
@@ -423,6 +490,16 @@ def test_whole_space_scan_memory_budget(p, n, kind):
     out = run_peak_script(_BUDGET_SCRIPT, f"classify_vectors({kind}, H = V)", p, n)
     assert peak_bytes(out) <= 32 * out["N"]
     assert out["cached_bytes"] <= 8 * out["N"] + 1024
+
+
+@pytest.mark.parametrize("p, n", [(5, 10), (13, 6)])
+def test_joint_scan_memory_budget(p, n):
+    """regularize_multi of three sparse parts, 10 sqrt(N) points of x_0 = 0
+    each, with floor = N stops after its scan at H = V.  That scan gathers
+    every part's block and transforms one part at a time: it peaks at most
+    34 N bytes above the parts, one part's 32 N plus N per other part."""
+    out = run_peak_script(_BUDGET_SCRIPT, "regularize_multi(sparse parts, floor = N)", p, n)
+    assert peak_bytes(out) <= 34 * out["N"]
 
 
 @pytest.mark.parametrize("p, n", [(3, 12), (5, 8)])

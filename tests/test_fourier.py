@@ -176,6 +176,15 @@ class TestSpectrum:
         assert np.array_equal(back.freqs, s.freqs)
         assert np.abs(back.values - s.values).max() == 0.0
 
+    def test_misordered_entries_rejected(self):
+        # value_at reads an entry by position, so reversed entries would
+        # answer with another frequency's value
+        s = dft(random_function(SP32, np.random.default_rng(6)), V32)
+        d = spectrum_to_dict(s)
+        d["entries"] = d["entries"][::-1]
+        with pytest.raises(InputError):
+            spectrum_from_dict(d)
+
 
 class TestIdft:
     def test_round_trip_random(self):

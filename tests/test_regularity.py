@@ -17,6 +17,7 @@ from fpnreg.regularity import (
     restricted_sup,
     tower,
 )
+from fpnreg.threeap import canonical_split
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localize
 
 from helpers import PRIMES, classify_oracle, random_subset, random_subspace, witness_map_oracle
@@ -85,8 +86,9 @@ class TestClassify:
 
 
 class TestScanAgainstCharacterSums:
-    """classify_vectors against classify_oracle, with the scan cut into
-    blocks of one coset, of a few cosets, and of every coset."""
+    """classify_vectors, and the joint scan of three disjoint parts, against
+    classify_oracle, with the scan cut into blocks of one coset, of a few
+    cosets, and of every coset."""
 
     @given(st.sampled_from([(3, 5), (5, 3), (7, 3), (11, 2), (13, 2)]), st.integers(0, 10**6), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
@@ -107,6 +109,24 @@ class TestScanAgainstCharacterSums:
         assert np.abs(cls.sup_values - sups).max() < 1e-12
         assert np.array_equal(cls.witness_freqs, witnesses)
 
+        # a random split, then A less one point beside an empty part and that
+        # point, whose nontrivial entries all tie
+        members = A.members()
+        label = gen.integers(0, 3, size=members.size)
+        splits = [[members[label == i] for i in range(3)]]
+        if members.size:
+            splits.append([members[1:], members[:0], members[:1]])
+        for split in splits:
+            parts = [DenseSubset.from_members(space, pts) for pts in split]
+            want = [classify_oracle(P, H, eps, regularity._TIE_MARGIN) for P in parts]
+            for block in (1, 3 * H.size + 1, regularity._SCAN_BLOCK):
+                with mock.patch.object(regularity, "_SCAN_BLOCK", block):
+                    got = regularity._scan(parts, H, eps)
+                for cls, (_, counts, sups, witnesses) in zip(got, want):
+                    assert np.array_equal(cls.counts, counts)
+                    assert np.abs(cls.sup_values - sups).max(initial=0) < 1e-12
+                    assert np.array_equal(cls.witness_freqs, witnesses)
+
     def test_zero_and_line_subspaces(self):
         gen = np.random.default_rng(3)
         for p in PRIMES:
@@ -118,6 +138,33 @@ class TestScanAgainstCharacterSums:
                 assert np.array_equal(cls.counts, counts)
                 assert np.abs(cls.sup_values - sups).max(initial=0) < 1e-12
                 assert np.array_equal(cls.witness_freqs, witnesses)
+
+
+class TestJointScan:
+    @given(st.sampled_from([(3, 5), (5, 3), (7, 2), (13, 1), (13, 2)]), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    @example(shape=(7, 2), seed=0)
+    @example(shape=(13, 1), seed=40)  # batching the parts at H = V would move a sup's last bit
+    def test_parts_scan_as_one_part_scans(self, shape, seed):
+        """A part's classification does not depend on the parts beside it or
+        on which cosets are empty: each one in a regularize_multi report, and
+        in joint scans at H = V and at a random H, is byte for byte
+        classify_vectors of that part."""
+        gen = np.random.default_rng(seed)
+        space = SpaceDescriptor(*shape)
+        A = random_subset(space, gen, density=float(gen.uniform(0.01, 0.9)))
+        eps = float(gen.uniform(0.1, 0.6))
+        parts = canonical_split(A, 3)
+        report = regularize_multi(parts, eps, 0.5)
+        scans = [(report.H_final, report.classifications)]
+        for H in (SubspaceBasis.full(space), random_subspace(space, gen)):
+            scans.append((H, regularity._scan(parts, H, eps)))
+        for H, classes in scans:
+            for part, cls in zip(parts, classes):
+                one = classify_vectors(part, H, eps)
+                for field in ("reps", "sup_values", "counts", "regular", "witness_freqs"):
+                    assert getattr(cls, field).tobytes() == getattr(one, field).tobytes(), (H.dim, field)
+                assert (cls.threshold, cls.irregular_mass) == (one.threshold, one.irregular_mass)
 
 
 class TestWitnessTies:
