@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -281,6 +282,17 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: nan and +-inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpnreg",
@@ -307,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize", help="energy-increment decomposition of one set")
     common(p, setinput=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--floor", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--sigma", type=_finite_float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
 
     p = sub.add_parser("regularize-multi", help="joint decomposition of a canonical split")
     common(p, setinput=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--floor", type=int, default=1)
 
     p = sub.add_parser("roth-count", help="naive and spectral 3AP counts")
@@ -328,25 +340,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density-test", help="randomized (alpha,3AP)-density refutation search")
     common(p, setinput=True, seeded=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, required=True)
 
     p = sub.add_parser("flower-find", help="search the canonical split for a flower")
     common(p, setinput=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--floor", type=int, default=1)
 
     p = sub.add_parser("sigma-cert", help="spectral (sigma,delta)-regularity certificate")
     common(p, setinput=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
 
     p = sub.add_parser("tail-bound", help="empirical tail vs exponential-moment bound")
     common(p, seeded=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
+    p.add_argument("--q", type=_finite_float, required=True)
+    p.add_argument("--lam", type=_finite_float, required=True)
     p.add_argument("--xi", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--r", type=int, default=None, help="also report the optimized plug-in bound")
@@ -366,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density-failure", help="Monte Carlo (alpha,3AP)-density failure estimate")
     common(p, seeded=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--outer", type=int, required=True)
     p.add_argument("--inner", type=int, required=True)
 

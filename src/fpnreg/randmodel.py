@@ -128,8 +128,14 @@ class TailBoundInputs:
 
 def chernoff_bound(inputs: TailBoundInputs) -> float:
     """exp(t^2 q N - t lambda), the exponential-moment bound on
-    P(N Re 1hat_R(xi) > lambda) for Bernoulli(q) sets."""
-    return math.exp(inputs.t**2 * inputs.q * inputs.N - inputs.t * inputs.lam)
+    P(N Re 1hat_R(xi) > lambda) for Bernoulli(q) sets; InputError when it
+    overflows a float."""
+    exponent = inputs.t**2 * inputs.q * inputs.N - inputs.t * inputs.lam
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        msg = f"the bound exp({exponent:g}) overflows a float; raise lambda or lower q N"
+        raise InputError(msg) from None
 
 
 @dataclass(frozen=True)

@@ -279,13 +279,19 @@ def _step_caps(eps: float, alpha: float, m: int) -> tuple[int, int]:
     return proof, statement
 
 
-def _validate_params(eps, alpha, floor):
+def _validate_params(eps, alpha, floor, m):
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     if not 0 < alpha <= 1:
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     if floor < 1:
         raise InputError(f"floor must be >= 1, got {floor}")
+    try:  # a power past the float range, or math.ceil of an inf product
+        _step_caps(eps, alpha, m)
+    except OverflowError:
+        raise InputError(
+            f"eps = {eps} and alpha = {alpha} overflow the step cap 4 m^2 eps^-3 alpha^-2"
+        ) from None
 
 
 def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
@@ -356,7 +362,7 @@ def regularize(
     for every H of size >= sigma N).  An empty A is vacuously regular at V.
     The energy trace costs no pass beyond the per-coset scan.
     """
-    _validate_params(eps, alpha, floor)
+    _validate_params(eps, alpha, floor, 1)
     return _iterate([A], eps, alpha, floor, 1, sigma=sigma, delta=delta)
 
 
@@ -372,7 +378,7 @@ def regularize_multi(parts, eps: float, alpha: float, floor: int = 1) -> Regular
     parts = list(parts)
     if not parts:
         raise InputError("need at least one part")
-    _validate_params(eps, alpha, floor)
+    _validate_params(eps, alpha, floor, len(parts))
     same_space(*parts)
     union = np.zeros(parts[0].space.N, dtype=bool)
     for A in parts:

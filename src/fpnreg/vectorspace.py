@@ -159,25 +159,25 @@ def _digit_table(p: int, M, weights, shift=None, base=None) -> np.ndarray:
 
     Every digit-indexed table is such an affine map of k's digits over
     GF(p), read through the weights.  Digit i is axis m - 1 - i.  A column's
-    term spans only the axes of the digits it uses, the terms add by
-    broadcasting, and one spread over every k flattens the sum.  A column
-    that uses a single digit is a length-b vector, so only a column that
-    mixes digits takes a mod over a broadcast sum.
+    term is the mod of its shift plus one length-b vector per digit it
+    uses, broadcast over just those axes.  The terms add in increasing
+    order of their highest digit, so the sum grows one axis at a time, and
+    one spread over every k flattens it.
     """
     b = base or p
     shifts = [0] * len(weights) if shift is None else [int(s) % p for s in shift]
-    affine = _affine_digits(p, b)
-    total = np.int64(0)
+    digits = _affine_digits(p, b)
+    terms = []  # (highest digit used, [(digit, coefficient)], weight, shift)
     for col, w, s in zip(np.asarray(M, dtype=np.int64).T.tolist(), weights, shifts):
         used = [(i, a % p) for i, a in enumerate(col) if a % p]
-        if len(used) == 1:
-            i, a = used[0]
-            total = total + (w * affine[a, s]).reshape((b,) + (1,) * i)
-        elif used or s:
-            form = s
-            for i, a in used:
-                form = form + affine[a, 0].reshape((b,) + (1,) * i)
-            total = total + w * (form % p)
+        if used or s:
+            terms.append((used[-1][0] if used else -1, used, w, s))
+    total = np.int64(0)
+    for _, used, w, s in sorted(terms, key=lambda term: term[0]):
+        form = s
+        for i, a in used:
+            form = form + digits[a].reshape((b,) + (1,) * i)
+        total = total + w * (form % p)
     table = np.ascontiguousarray(np.broadcast_to(total, (b,) * len(M))).reshape(-1)
     table.flags.writeable = False
     return table
@@ -185,9 +185,9 @@ def _digit_table(p: int, M, weights, shift=None, base=None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _affine_digits(p: int, b: int) -> np.ndarray:
-    """T[a, s, k] = (a k + s) mod p for a, s < p and the digits k < b."""
-    a, s, k = np.ogrid[:p, :p, :b]
-    table = (a * k + s) % p
+    """T[a, k] = a k mod p for a < p and the digits k < b."""
+    a, k = np.ogrid[:p, :b]
+    table = a * k % p
     table.flags.writeable = False
     return table
 
@@ -482,23 +482,6 @@ class SubspaceBasis:
         """Coordinates that are not pivots, ascending: the axes of V/H."""
         return tuple(f for f in range(self.space.n) if f not in self.pivots)
 
-    def _coeff_tables(self) -> tuple[np.ndarray, tuple]:
-        """(pivot_part, free_digits) over the coefficient indices c.
-
-        h_c = sum_j c_j rows[j] for c = sum_j c_j p^j, so h_c's digit at
-        coordinate f is (sum_j c_j rows[j, f]) mod p.  Row j is 1 at pivot j
-        and 0 at the other pivots, so that digit is c_j at pivot j:
-        pivot_part[c] = sum_j c_j p^(pivots[j]), the _digit_table of the
-        identity (the pivot columns of rows).  free_digits[r][c] is the digit
-        of h_c at the free coordinate free[r], the _digit_table of that column.
-        """
-        if "coeff_tables" not in self._cache:
-            p, rows = self.space.p, self.rows
-            pivot_part = _digit_table(p, np.eye(self.dim, dtype=np.int64), [p**pc for pc in self.pivots])
-            free_digits = tuple(_digit_table(p, rows[:, [f]], (1,)) for f in self.free)
-            self._cache["coeff_tables"] = (pivot_part, free_digits)
-        return self._cache["coeff_tables"]
-
     def _coeff_elements(self) -> np.ndarray:
         """Element indices in coefficient-lex order: entry c is h_c, the
         _digit_table of every column of rows."""
@@ -546,38 +529,22 @@ class SubspaceBasis:
         """G[c, t] = flat(h_c - v - x_t), shape (|H|, p**s).
 
         x_t has digit t_r at the free coordinate F_r for r < s, where
-        t = sum_r t_r p^r, and 0 elsewhere.  h_c - v has digit
-        (c_j - v_(P_j)) mod p at pivot P_j and (free_digits[r][c] - v_(F_r))
-        mod p at F_r, so
-
-            flat(h_c - v) = sum_j p^(P_j) ((c_j - v_(P_j)) mod p)
-                          + sum_r p^(F_r) ((free_digits[r][c] - v_(F_r)) mod p).
-
-        The pivot sum is the cached pivot_part, or at v_P != 0 the _digit_table
-        of its map shifted by -v_P; the free terms read the cached free_digits,
-        so no call rebuilds a free-digit form.
+        t = sum_r t_r p^r, and 0 elsewhere.  h_c - v - x_t is
+        sum_j c_j rows[j] - sum_r t_r e_(F_r) - v, affine in the digits
+        (c_0..c_(dim-1), t_0..t_(s-1)) of the flat index c + |H| t: the
+        _digit_table of rows stacked over -e_(F_r) for r < s, with weights
+        p^f and shift -v.  Nothing is cached on H.
 
         Column 0 is the localization row of v: A.mask[G[:, 0]] is A_H^v in
         coefficient order.  When v = coset_reps()[k] with k a multiple of
         p**s, column t is the row of coset_reps()[k + t], so the block
-        covers an aligned run of p**s coset ids, one broadcast axis per
-        digit of t.  G is the transposed view of a C-order (p**s, |H|) array.
+        covers an aligned run of p**s coset ids.  G is the transposed view
+        of a read-only C-order (p**s, |H|) array.
         """
-        p, free = self.space.p, self.free
-        vd = ((int(v) // self.space.weights) % p).tolist()
-        k = np.arange(p, dtype=np.int64)
-        g, free_digits = self._coeff_tables()  # g: the pivot sum at v_P = 0
-        if any(vd[pc] for pc in self.pivots):
-            eye = np.eye(self.dim, dtype=np.int64)
-            g = _digit_table(p, eye, [p**pc for pc in self.pivots], shift=[-vd[pc] for pc in self.pivots])
-        # built as (p,)*s + (|H|,) with digit t_r on axis s - 1 - r, so the long
-        # coefficient axis stays innermost; |H|-long terms first, then broadcasts
-        for r in [*range(s, len(free)), *range(s)]:
-            d = free_digits[r] - vd[free[r]]
-            if r < s:
-                d = (d - k[:, None]).reshape((p,) + (1,) * r + (self.size,))
-            g = g + p ** free[r] * (d % p)
-        return g.reshape(p**s, self.size).T
+        space = self.space
+        steps = -np.eye(space.n, dtype=np.int64)[list(self.free[:s])]
+        G = _digit_table(space.p, np.vstack([self.rows, steps]), space.weights, -space.digits(v))
+        return G.reshape(space.p**s, self.size).T
 
     def coset_system(self) -> "CosetSystem":
         if "coset_system" not in self._cache:
@@ -599,7 +566,8 @@ class CosetSystem:
     (p,)*(n - dim H) digit tensor of the ids.  It holds reps (K int64, the
     same array as H.coset_reps()) and coset_id (one int64 N-array), which
     only rep_of reads.  No library computation builds it: the scan and the
-    counts read H.coset_reps() and H._localization, Spectrum.value_at and
+    counts read H.coset_reps() and H._localization, which builds each
+    index from H's rows and caches nothing on H, Spectrum.value_at and
     the scan's witnesses take coset ids mod H^perp from _null_rows, and only
     dft and its inverse read the dual data.  It serves explicit callers:
     tests, scripts and users.
@@ -622,8 +590,9 @@ def _build_coset_system(H: SubspaceBasis) -> CosetSystem:
 
     Id digit r is <x, null_r> mod p for the rows null_r of _null_rows(H),
     which are 1 at F_r and -R[j, F_r] at P_j: one _digit_table over x's n
-    digits.  Each digit's form spans only the axes it uses and the forms add
-    by broadcasting, so the build costs about p/(p-1) N adds.
+    digits.  Its terms add in increasing order of their highest digit, so
+    the sum grows one axis at a time and the build costs about p/(p-1) N
+    adds.
     """
     p = H.space.p
     ids = _digit_table(p, _null_rows(H).T, [p**r for r in range(len(H.free))])

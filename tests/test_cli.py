@@ -138,6 +138,36 @@ class TestErrors:
         assert status == 2 and out == ""
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tail-bound", "--p", "3", "--n", "8", "--q", "0.5", "--lam", "0", "--xi", "1",
+              "--trials", "2", "--seed", "1"], "overflows a float"),
+            (["regularize-multi", "--p", "3", "--n", "2", "--members", "0,1,2,3", "--m", "3",
+              "--eps", "0.5", "--alpha", "1e-200"], "step cap"),
+            (["flower-find", "--p", "3", "--n", "2", "--members", "0,1,2,3", "--m", "3",
+              "--eps", "0.5", "--alpha", "1e-200"], "step cap"),
+            (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "1e-100",
+              "--alpha", "1e-10"], "step cap"),
+            (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "0.5",
+              "--alpha", "1", "--sigma", "nan"], "finite"),
+            (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "0.5",
+              "--alpha", "1", "--delta", "inf"], "finite"),
+            (["tail-bound", "--p", "3", "--n", "4", "--q", "0.2", "--lam", "nan", "--xi", "1",
+              "--trials", "2", "--seed", "1"], "finite"),
+        ],
+        ids=["tail-bound-exp-overflow", "regularize-multi-tiny-alpha", "flower-find-tiny-alpha",
+             "regularize-inf-cap", "sigma-nan", "delta-inf", "lam-nan"],
+    )
+    def test_out_of_range_floats_exit_2(self, capsys, argv, message):
+        try:
+            status = main(argv)
+        except SystemExit as e:  # argparse rejects the option itself
+            status = e.code
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["tower", "--p", "3", "--t", "1", "--frobnicate"])

@@ -123,6 +123,11 @@ class TestChernoff:
         assert b == pytest.approx(math.exp(-(t**2) * q * N))
         assert b < 1
 
+    def test_overflow_rejected(self):
+        # t^2 q N - t lambda = 3280.5 at 3^8, past exp's float range
+        with pytest.raises(InputError, match="overflows"):
+            chernoff_bound(TailBoundInputs(0.5, 3**8, 0.0, 1.0))
+
     def test_rejects_bad_t(self):
         for t in (0.0, -0.5, 1.5):
             with pytest.raises(InputError):

@@ -353,6 +353,17 @@ class TestRegularize:
             with pytest.raises(InputError):
                 regularize(ALINE, eps, alpha, floor)
 
+    @pytest.mark.parametrize(
+        "eps, alpha",
+        [(0.5, 1e-200), (1e-110, 1.0), (1e-100, 1e-10)],
+        ids=["alpha-power-overflows", "eps-power-overflows", "product-reaches-inf"],
+    )
+    def test_rejects_overflowing_step_cap(self, eps, alpha):
+        with pytest.raises(InputError, match="step cap"):
+            regularize(ALINE, eps, alpha)
+        with pytest.raises(InputError, match="step cap"):
+            regularize_multi(canonical_split(ALINE, 3), eps, alpha)
+
 
 class TestRegularizeMulti:
     def test_single_part_reduces_to_regularize(self):
