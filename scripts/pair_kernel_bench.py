@@ -8,8 +8,10 @@ side, `_pair_sum` on the encoded sides, and their composition `_pair_index`,
 all with both multipliers inv2 (the midpoint search).  The cases:
 
     1 x 64 at 5^5     a density trial's probe
-    4 x 4 at 3^6      PetalGraph.any_edge in mc_klr11
-    4 x 729 at 3^6    PetalGraph.right_degrees_into in mc_klr11
+    4 x 4 at 3^6      a block small enough that the per-call cost dominates
+    800 x 73 at 3^6   PetalGraph.right_degrees_into in mc_klr11: 200 trials
+                      of |T| = 4 against the |S| = 73 support positions of
+                      a density-0.1 localized row
     16 x 839 at 5^5   a density trial's third block at C = 30
     81 x 81 at 3^8    all pairs of a density trial at C = 2 (k = 81)
     1215^2 at 3^8     all pairs of a trial at C = 30 in one call, past a run
@@ -37,7 +39,7 @@ import numpy as np
 
 from fpnreg.vectorspace import _pair_codes, _pair_index, _pair_sum
 
-CASES = ((5, 5, 1, 64), (3, 6, 4, 4), (3, 6, 4, 729), (5, 5, 16, 839), (3, 8, 81, 81), (3, 8, 1215, 1215))
+CASES = ((5, 5, 1, 64), (3, 6, 4, 4), (3, 6, 800, 73), (5, 5, 16, 839), (3, 8, 81, 81), (3, 8, 1215, 1215))
 TINY_CASES = ((3, 0, 1, 2), (3, 2, 2, 3), (5, 1, 4, 4))
 
 

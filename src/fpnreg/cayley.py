@@ -30,6 +30,7 @@ from .vectorspace import (
     _check_index,
     _digit_reversal,
     _pair_codes,
+    _pair_index,
     _pair_runs,
     _pair_sum,
     localized_count,
@@ -295,6 +296,9 @@ class PetalGraph:
     commutes with digit-wise sums, so the midpoint of (i, j) is position
     inv2 (i + j), digit-wise mod p.  The first edge query encodes inv2 i
     for every position (16 u bytes) for all later ones.
+
+    any_edge and right_degrees_into take a batch of trials, one position
+    set per row, as mc_klr11 decides all its trials at once.
     """
 
     def __init__(self, generator: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
@@ -322,24 +326,46 @@ class PetalGraph:
     def _codes(self) -> np.ndarray:
         return _pair_codes(self.space.p, self.H.dim, np.arange(self.u), self.space.inv2)
 
+    @functools.cached_property
+    def _support(self) -> np.ndarray:
+        return np.flatnonzero(self._row)
+
     def _edge_block(self, lpos, rpos) -> np.ndarray:
         """Boolean adjacency block for positions lpos x rpos."""
         codes = self._codes
         rows, partners = np.take(codes, lpos, axis=1), np.take(codes, rpos, axis=1)
         return self._row[_pair_sum(self.space.p, self.H.dim, rows, partners)]
 
-    def _blocks(self, lpos, rpos):
-        """_edge_block over lpos x rpos, lpos cut into _pair_runs."""
+    def edges_between(self, lpos, rpos) -> int:
+        """Edges between the positions lpos and rpos, lpos cut into _pair_runs."""
         lpos = np.asarray(lpos, dtype=np.int64)
         rpos = np.asarray(rpos, dtype=np.int64)
-        for run in _pair_runs(len(lpos), len(rpos)):
-            yield self._edge_block(lpos[run], rpos)
+        runs = _pair_runs(len(lpos), len(rpos))
+        return sum(int(self._edge_block(lpos[run], rpos).sum()) for run in runs)
 
-    def edges_between(self, lpos, rpos) -> int:
-        return sum(int(block.sum()) for block in self._blocks(lpos, rpos))
+    def any_edge(self, lpos, rpos) -> np.ndarray:
+        """For each trial k, whether lpos[k] x rpos[k] spans an edge; lpos
+        is a (trials, t1) and rpos a (trials, t2) batch of positions.
 
-    def any_edge(self, lpos, rpos) -> bool:
-        return any(block.any() for block in self._blocks(lpos, rpos))
+        Every row of lpos is paired with its own trial's row of rpos, the
+        (trial, row) rows cut into _pair_runs; a run whose trials have all
+        hit already is skipped.
+        """
+        lpos = np.asarray(lpos, dtype=np.int64)
+        rpos = np.asarray(rpos, dtype=np.int64)
+        trials, t1 = lpos.shape
+        codes = self._codes
+        rows = np.take(codes, lpos.reshape(-1), axis=1)
+        owner = np.repeat(np.arange(trials), t1)
+        hit = np.zeros(trials, dtype=bool)
+        for run in _pair_runs(trials * t1, rpos.shape[1]):
+            k = owner[run]
+            if hit[k].all():
+                continue
+            partners = np.take(codes, rpos[k], axis=1)
+            found = self._row[_pair_sum(self.space.p, self.H.dim, rows[:, run], partners)].any(axis=1)
+            hit[k[found]] = True
+        return hit
 
     def edge_count(self) -> int:
         return self.u * self._degree
@@ -351,10 +377,27 @@ class PetalGraph:
         return np.full(self.u, self._degree, dtype=np.int64)
 
     def right_degrees_into(self, lpos) -> np.ndarray:
-        deg = np.zeros(self.u, dtype=np.int64)
-        for block in self._blocks(lpos, np.arange(self.u, dtype=np.int64)):
-            deg += block.sum(axis=0)
-        return deg
+        """Degree of every right position into each trial's left positions:
+        lpos is a (trials, t) batch, the result (trials, u).
+
+        i ~ j exactly when inv2 (i + j) lies in the support S of the
+        localized row, that is when j = 2s - i for an s in S, and s
+        determines j for each i.  So the degrees into T are the histogram
+        of {2s - i : s in S, i in T}: |T| |S| pairs through the pair
+        kernel, whatever u is, counted by one np.bincount per run.
+        """
+        lpos = np.asarray(lpos, dtype=np.int64)
+        trials, t = lpos.shape
+        p, u, support = self.space.p, self.u, self._support
+        rows = lpos.reshape(-1)
+        offset = np.repeat(np.arange(trials) * u, t)  # row r counts into trial r // t
+        deg = np.zeros(trials * u, dtype=np.int64)
+        for run in _pair_runs(len(rows), len(support)):
+            idx = _pair_index(p, self.H.dim, rows[run], support, p - 1, 2)
+            o = offset[run]
+            idx += (o - o[0])[:, None]
+            deg[o[0] : o[-1] + u] += np.bincount(idx.reshape(-1), minlength=o[-1] + u - o[0])
+        return deg.reshape(trials, u)
 
 
 def petal_graph(A: DenseSubset, H: SubspaceBasis, v1: int, v2: int) -> PetalGraph:

@@ -360,9 +360,13 @@ def regularize(
     energy-bound check when A sits inside a (sigma, delta)-certified set, in
     which case d(A, H) <= (1+delta)^2 4/alpha^2 is asserted along the trace
     for every H of size >= sigma N).  An empty A is vacuously regular at V.
-    The energy trace costs no pass beyond the per-coset scan.
+    The energy trace costs no pass beyond the per-coset scan.  sigma and
+    delta, when given, must lie in (0, 1), as for sigma_certificate.
     """
     _validate_params(eps, alpha, floor, 1)
+    for name, value in (("sigma", sigma), ("delta", delta)):
+        if value is not None and not 0 < value < 1:
+            raise InputError(f"{name} must lie in (0, 1), got {value}")
     return _iterate([A], eps, alpha, floor, 1, sigma=sigma, delta=delta)
 
 

@@ -275,7 +275,8 @@ def _code_sums(p: int, m: int) -> tuple:
 
 def _pair_sum(p: int, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """flat(u_i + v_j) for the codes u (2, nx) and v (2, ny) of _pair_codes,
-    the sum taken digit-wise mod p; shape (nx, ny).
+    the sum taken digit-wise mod p; shape (nx, ny).  A v of shape
+    (2, nx, ny) gives row i its own partners v[:, i].
 
     A code's digits are below p, so a base-2p digit of the sum of two codes
     is at most 2p - 2 and the addition never carries between digits:

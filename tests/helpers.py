@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from fpnreg.fourier import DenseFunction, Spectrum, dft
+from fpnreg.rng import sample_without_replacement, substream
 from fpnreg.vectorspace import (
     DenseSubset,
     SpaceDescriptor,
@@ -270,6 +271,31 @@ def petal_graph_oracle(A: DenseSubset, H: SubspaceBasis, v1: int, v2: int):
     ld, rd = space.digits(left), space.digits(right)
     mid = space.index(space.inv2 * (ld[:, None, :] + rd[None, :, :]) % p)
     return left, right, A.mask[mid]
+
+
+def klr11_oracle(adj: np.ndarray, t1: int, t2: int, adversary: str, trials: int, seed: int) -> float:
+    """no_edge_freq of the (t1, t2)-subgraph experiment on the u x u
+    adjacency adj, one trial at a time from substream(seed, t): the
+    adversary blocks S1, T1 is drawn from the open positions, the adversary
+    blocks S2 seeing T1, T2 is drawn from the open positions, and the trial
+    fails when adj[T1, T2] holds no edge.  "trivial" blocks nothing;
+    "greedy" blocks the floor(u/2) positions ranked last by a stable
+    argsort of the left degrees, then of the right degrees into T1."""
+    u = len(adj)
+    every = np.arange(u)
+
+    def blocked(degrees):
+        if adversary == "trivial":
+            return []
+        return np.argsort(degrees, kind="stable")[u - u // 2 :]
+
+    failures = 0
+    for t in range(trials):
+        gen = substream(seed, t)
+        T1 = sample_without_replacement(gen, np.setdiff1d(every, blocked(adj.sum(axis=1))), t1)
+        T2 = sample_without_replacement(gen, np.setdiff1d(every, blocked(adj[T1].sum(axis=0))), t2)
+        failures += not adj[np.ix_(T1, T2)].any()
+    return failures / trials
 
 
 def petal_search_oracle(report, alpha: float):

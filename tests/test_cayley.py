@@ -22,7 +22,7 @@ from fpnreg import vectorspace
 from fpnreg.rng import substream
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localized_count
 
-from helpers import ORACLE_MAX_N, PRIMES, SUBSET_KINDS, random_subset, subset_of_kind
+from helpers import ORACLE_MAX_N, PRIMES, SUBSET_KINDS, petal_graph_oracle, random_subset, subset_of_kind
 
 SP31 = SpaceDescriptor(3, 1)
 SP32 = SpaceDescriptor(3, 2)
@@ -251,7 +251,38 @@ class TestPetalGraph:
         gen = np.random.default_rng(4)
         A = random_subset(SP32, gen)
         pg = petal_graph(A, SubspaceBasis.full(SP32), 0, 0)
-        t1 = np.array([0, 3, 5])
+        t1 = np.array([[0, 3, 5], [1, 2, 8]])
         degs = pg.right_degrees_into(t1)
-        for j in range(9):
-            assert degs[j] == sum(pg.any_edge(np.array([i]), np.array([j])) for i in t1)
+        assert degs.shape == (2, 9)
+        for k in range(2):
+            for j in range(9):
+                single = [pg.any_edge(np.array([[i]]), np.array([[j]]))[0] for i in t1[k]]
+                assert degs[k, j] == sum(single)
+
+    @pytest.mark.parametrize("p, n, rows", [(3, 4, None), (5, 3, None), (5, 3, [[1, 2, 0], [0, 1, 3]])])
+    def test_degrees_into_cost_t_times_support_pairs(self, p, n, rows, monkeypatch):
+        """right_degrees_into histograms {2s - i : s in S, i in T}: it asks
+        the pair kernel for |T| |S| pairs, not the |T| u of a scan of every
+        right position, and equals the degree count of the codec adjacency."""
+        space = SpaceDescriptor(p, n)
+        gen = np.random.default_rng(p + n)
+        A = DenseSubset(space, gen.random(space.N) < 0.15)
+        H = SubspaceBasis.full(space) if rows is None else SubspaceBasis.from_rows(space, rows)
+        pg = petal_graph(A, H, 3, 17)
+        adj = petal_graph_oracle(A, H, 3, 17)[2]
+        T = np.stack([gen.choice(pg.u, 5, replace=False) for _ in range(7)])
+        pairs = []
+        pair_sum = vectorspace._pair_sum
+
+        def counted(*args):
+            out = pair_sum(*args)
+            pairs.append(out.size)
+            return out
+
+        monkeypatch.setattr(vectorspace, "_pair_sum", counted)
+        monkeypatch.setattr(cayley, "_pair_sum", counted)
+        degs = pg.right_degrees_into(T)
+        support = pg.edge_count() // pg.u
+        assert 0 < support < pg.u
+        assert sum(pairs) == T.size * support
+        assert np.array_equal(degs, adj[T].sum(axis=1))

@@ -155,9 +155,16 @@ class TestErrors:
               "--alpha", "1", "--delta", "inf"], "finite"),
             (["tail-bound", "--p", "3", "--n", "4", "--q", "0.2", "--lam", "nan", "--xi", "1",
               "--trials", "2", "--seed", "1"], "finite"),
+            (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "0.5",
+              "--alpha", "1", "--sigma", "1e308", "--delta", "1e308"], "sigma must lie in (0, 1)"),
+            (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "0.5",
+              "--alpha", "1", "--sigma", "2", "--delta", "0.5"], "sigma must lie in (0, 1)"),
+            (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "0.5",
+              "--alpha", "1", "--sigma", "0.5", "--delta", "1"], "delta must lie in (0, 1)"),
         ],
         ids=["tail-bound-exp-overflow", "regularize-multi-tiny-alpha", "flower-find-tiny-alpha",
-             "regularize-inf-cap", "sigma-nan", "delta-inf", "lam-nan"],
+             "regularize-inf-cap", "sigma-nan", "delta-inf", "lam-nan", "sigma-delta-1e308",
+             "sigma-2-vacuous-claim", "delta-1"],
     )
     def test_out_of_range_floats_exit_2(self, capsys, argv, message):
         try:
@@ -167,6 +174,15 @@ class TestErrors:
         captured = capsys.readouterr()
         assert status == 2 and captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
+
+    def test_klr11_u_above_the_dense_cap(self, capsys):
+        status, out, err = run(
+            capsys,
+            ["klr11", "--graph", "complete", "--u", "1000000000", "--t1", "1", "--t2", "1",
+             "--trials", "1", "--seed", "1"],
+        )
+        assert status == 2 and out == ""
+        assert "cap" in err and "Traceback" not in err
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):

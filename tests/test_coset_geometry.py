@@ -264,13 +264,18 @@ def test_petal_graph_matches_codec(p, n, dim, seed, density, block):
     sub = adj[np.ix_(lpos, rpos)]
     assert np.array_equal(pg._edge_block(lpos, rpos), sub)
     none = np.empty(0, dtype=np.int64)
+    # a batch of three trials: lpos, then two more drawn position sets
+    lbatch = np.stack([lpos, *gen.integers(0, u, size=(2, len(lpos)))])
+    rbatch = np.stack([rpos, *gen.integers(0, u, size=(2, len(rpos)))])
+    hits = [adj[np.ix_(lb, rb)].any() for lb, rb in zip(lbatch, rbatch)]
+    nones = np.empty((3, 0), dtype=np.int64)
     with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
         assert pg.edges_between(lpos, rpos) == int(sub.sum())
-        assert pg.any_edge(lpos, rpos) == bool(sub.any())
         assert pg.edges_between(none, rpos) == pg.edges_between(lpos, none) == 0
-        assert not pg.any_edge(none, rpos) and not pg.any_edge(lpos, none)
-        assert np.array_equal(pg.right_degrees_into(lpos), adj[lpos].sum(axis=0))
-        assert np.array_equal(pg.right_degrees_into(none), np.zeros(u, dtype=np.int64))
+        assert pg.any_edge(lbatch, rbatch).tolist() == hits
+        assert not pg.any_edge(nones, rbatch).any() and not pg.any_edge(lbatch, nones).any()
+        assert np.array_equal(pg.right_degrees_into(lbatch), adj[lbatch].sum(axis=1))
+        assert np.array_equal(pg.right_degrees_into(nones), np.zeros((3, u), dtype=np.int64))
     assert np.array_equal(pg.left_degrees(), adj.sum(axis=1))
     assert pg.edge_count() == int(adj.sum())
     assert pg.density() == int(adj.sum()) / u**2

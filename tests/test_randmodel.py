@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fpnreg import vectorspace
 from fpnreg.cayley import petal_graph
 from fpnreg.errors import ContractError, InputError
 from fpnreg.randmodel import (
+    ADVERSARIES,
     CompleteBipartite,
     EmptyBipartite,
     GreedyAdversary,
@@ -24,7 +27,7 @@ from fpnreg.randmodel import (
 from fpnreg.rng import substream
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
 
-from helpers import PRIMES, peak_bytes, run_peak_script
+from helpers import PRIMES, klr11_oracle, peak_bytes, petal_graph_oracle, run_peak_script
 
 SP32 = SpaceDescriptor(3, 2)
 SP34 = SpaceDescriptor(3, 4)
@@ -184,6 +187,95 @@ class TestEmpiricalTail:
             assert rep.frequency == sum(x >= lam for x in sums) / trials
 
 
+# (p, n, rows of H or None for V, density of A, v1, v2): sparse enough that
+# the trivial adversary, and the greedy one at t = 2 on the denser 3^4 set,
+# read frequencies strictly between 0 and 1
+_KLR_PETALS = {
+    "petal-3^4-V-sparse": (3, 4, None, 0.05, 0, 0),
+    "petal-3^4-V": (3, 4, None, 0.3, 5, 40),
+    "petal-5^3-dim-2": (5, 3, [[1, 2, 0], [0, 1, 3]], 0.4, 7, 93),
+    "petal-3^5-dim-3": (3, 5, [[1, 0, 0, 2, 1], [0, 1, 0, 0, 2], [0, 0, 1, 1, 1]], 0.2, 11, 200),
+}
+
+
+def _klr_graph(name):
+    """(graph, its u x u adjacency) for a named case."""
+    if name == "complete-27":
+        return CompleteBipartite(27), np.ones((27, 27), dtype=bool)
+    if name == "empty-27":
+        return EmptyBipartite(27), np.zeros((27, 27), dtype=bool)
+    p, n, rows, density, v1, v2 = _KLR_PETALS[name]
+    space = SpaceDescriptor(p, n)
+    A = DenseSubset(space, np.random.default_rng(3).random(space.N) < density)
+    H = SubspaceBasis.full(space) if rows is None else SubspaceBasis.from_rows(space, rows)
+    return petal_graph(A, H, v1, v2), petal_graph_oracle(A, H, v1, v2)[2]
+
+
+@pytest.mark.parametrize("block", [None, 64], ids=["one-chunk", "chunk-per-trial"])
+@pytest.mark.parametrize("ts", [(1, 1), (2, 2), ("max", "max"), (1, "max")], ids=str)
+@pytest.mark.parametrize("adversary", ["trivial", "greedy"])
+@pytest.mark.parametrize("name", ["complete-27", "empty-27", *_KLR_PETALS])
+def test_mc_klr11_matches_the_per_trial_oracle(name, adversary, ts, block):
+    """The batched experiment reads exactly the frequency of the per-trial
+    loop on the graph's adjacency.  With _PAIR_BLOCK = 64 every chunk holds
+    one trial (u > 64) and the pair kernel cuts the degree and edge scans
+    into several runs."""
+    graph, adj = _klr_graph(name)
+    t1, t2 = ((len(adj) - 1) // 2 if t == "max" else t for t in ts)
+    with mock.patch.object(vectorspace, "_PAIR_BLOCK", block or vectorspace._PAIR_BLOCK):
+        rep = mc_klr11(graph, t1, t2, ADVERSARIES[adversary](), 60, 17)
+    assert rep.no_edge_freq == klr11_oracle(adj, t1, t2, adversary, 60, 17)
+    assert (rep.trials, rep.t1, rep.t2, rep.adversary, rep.u) == (60, t1, t2, adversary, len(adj))
+
+
+def test_klr11_oracle_cases_read_nontrivial_frequencies():
+    """Every structure input of the benchmark reads 1.0, so the oracle
+    comparison relies on these sparse sets to exercise other outcomes."""
+    freqs = set()
+    for name in _KLR_PETALS:
+        _, adj = _klr_graph(name)
+        freqs.add(klr11_oracle(adj, 2, 2, "trivial", 60, 17))
+    _, adj = _klr_graph("petal-3^4-V")
+    greedy = klr11_oracle(adj, 2, 2, "greedy", 60, 17)
+    assert 0 < greedy < 1
+    assert len({f for f in freqs if 0 < f < 1}) >= 3
+
+
+# mc_klr11 with the greedy adversary on a petal graph of H = V over a
+# density-0.1 B; the graph is built before the measurement
+_KLR_PEAK_SCRIPT = """
+import numpy as np
+from fpnreg.cayley import petal_graph
+from fpnreg.randmodel import GreedyAdversary, mc_klr11
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis
+
+def graph(space):
+    B = DenseSubset(space, np.random.default_rng(1).random(space.N) < 0.1)
+    return petal_graph(B, SubspaceBasis.full(space), 0, 0)
+
+mc_klr11(graph(SpaceDescriptor(3, 3)), 2, 2, GreedyAdversary(), 5, 1)
+space = SpaceDescriptor(int(sys.argv[1]), int(sys.argv[2]))
+t, trials = int(sys.argv[3]), int(sys.argv[4])
+g = graph(space)
+rep, reading = measure(lambda: mc_klr11(g, t, t, GreedyAdversary(), trials, 5))
+print(json.dumps({"N": space.N, "freq": rep.no_edge_freq, **reading}))
+"""
+
+
+@pytest.mark.parametrize(
+    "p, n, t, trials",
+    [(3, 6, 4, 200), (5, 4, 4, 200), (3, 8, 60, 2000)],
+    ids=["structure-3^6", "structure-5^4", "readme-3^8"],
+)
+def test_mc_klr11_memory_budget(p, n, t, trials):
+    """The trials run in chunks of about _PAIR_BLOCK / u, so the call peaks
+    at a bounded batch whatever the trial count: at most 16 MB at the
+    benchmark's sizes and at the README's 3^8 run with 2000 trials, where
+    one (trials, u) int64 array alone would take 105 MB."""
+    out = run_peak_script(_KLR_PEAK_SCRIPT, p, n, t, trials)
+    assert peak_bytes(out) <= 16 * 2**20
+
+
 class TestKlr11:
     def test_complete_graph_always_hits(self):
         rep = mc_klr11(CompleteBipartite(40), 1, 1, TrivialAdversary(), 100, 3)
@@ -227,11 +319,14 @@ class TestKlr11:
         class Cheater:
             name = "cheater"
 
+            def block_sizes(self, graph):
+                return graph.u - 1, 0
+
             def select_s1(self, graph):
                 return np.arange(graph.u - 1)
 
             def select_s2(self, graph, t1):
-                return np.empty(0, dtype=np.int64)
+                return np.empty((len(t1), 0), dtype=np.int64)
 
         with pytest.raises(ContractError):
             mc_klr11(CompleteBipartite(10), 1, 1, Cheater(), 5, 1)
@@ -241,14 +336,40 @@ class TestKlr11:
     def test_adversary_blocks_in_range(self, bad, side):
         # a negative position would wrap in a mask and block position u - 1
         class OutOfRange:
+            def block_sizes(self, graph):
+                return (1, 0) if side == "s1" else (0, 1)
+
             def select_s1(self, graph):
                 return np.array([bad] if side == "s1" else [], dtype=np.int64)
 
             def select_s2(self, graph, t1):
-                return np.array([bad] if side == "s2" else [], dtype=np.int64)
+                return np.full((len(t1), int(side == "s2")), bad, dtype=np.int64)
 
         with pytest.raises(ContractError):
             mc_klr11(CompleteBipartite(10), 1, 1, OutOfRange(), 5, 1)
+
+    @pytest.mark.parametrize(
+        "sizes, s1, s2",
+        [((1, 0), [0, 1], []), ((0, 1), [], [1, 2]), ((2, 0), [3, 3], []), ((0, 2), [], [4, 4])],
+        ids=["s1-longer-than-declared", "s2-longer-than-declared", "s1-repeats", "s2-repeats"],
+    )
+    def test_adversary_blocks_its_declared_sizes(self, sizes, s1, s2):
+        class Misdeclared:
+            def block_sizes(self, graph):
+                return sizes
+
+            def select_s1(self, graph):
+                return np.array(s1, dtype=np.int64)
+
+            def select_s2(self, graph, t1):
+                return np.tile(np.array(s2, dtype=np.int64), (len(t1), 1))
+
+        with pytest.raises(ContractError):
+            mc_klr11(CompleteBipartite(10), 1, 1, Misdeclared(), 5, 1)
+
+    def test_rejects_u_above_the_dense_cap(self):
+        with pytest.raises(InputError, match="cap"):
+            mc_klr11(CompleteBipartite(10**9), 1, 1, TrivialAdversary(), 1, 1)
 
     def test_rejects_big_t(self):
         with pytest.raises(InputError):

@@ -353,6 +353,12 @@ class TestRegularize:
             with pytest.raises(InputError):
                 regularize(ALINE, eps, alpha, floor)
 
+    @pytest.mark.parametrize("sigma, delta", [(2, 0.5), (1e308, 1e308), (0, 0.5), (0.5, 1), (0.5, -0.1)])
+    def test_rejects_sigma_and_delta_outside_the_unit_interval(self, sigma, delta):
+        # sigma >= 1 would check the energy bound on no subspace: a vacuous claim
+        with pytest.raises(InputError, match="must lie in"):
+            regularize(ALINE, 0.5, 1.0, sigma=sigma, delta=delta)
+
     @pytest.mark.parametrize(
         "eps, alpha",
         [(0.5, 1e-200), (1e-110, 1.0), (1e-100, 1e-10)],
