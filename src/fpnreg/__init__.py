@@ -11,7 +11,6 @@ from .vectorspace import (
     annihilator_within,
     coset_representatives,
     localize,
-    rref,
 )
 from .fourier import DenseFunction, Spectrum, convolve, dft, identity_suite, idft
 from .regularity import (
@@ -27,7 +26,6 @@ from .regularity import (
     tower,
 )
 from .cayley import (
-    CayleyGraph,
     PetalGraph,
     RegularityCertificate,
     edge_count_direct,

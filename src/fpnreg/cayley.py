@@ -38,27 +38,6 @@ from .vectorspace import (
 )
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
-    """The |A|-regular difference-set graph on two copies of V."""
-
-    generator: DenseSubset
-
-    @property
-    def space(self) -> SpaceDescriptor:
-        return self.generator.space
-
-    @property
-    def degree(self) -> int:
-        return self.generator.card
-
-    def density(self) -> float:
-        return self.generator.card / self.space.N
-
-    def edge_count(self, X: DenseSubset, Y: DenseSubset) -> int:
-        return edge_count_direct(self.generator, X, Y)
-
-
 # ---------------------------------------------------------------------------
 # Edge counting
 # ---------------------------------------------------------------------------

@@ -14,13 +14,20 @@ axes are back in order behind the batch axis, so the result is (B, p**dim)
 with no transpose copy, O(|H| dim p) per input.  The passes alternate
 between two buffers the call allocates.
 
-The loop has two entries.  The complex entry (_multi_dft: dft, idft,
-Spectrum) keeps full spectra.  The real entry serves indicator functions,
-whose spectra satisfy fhat(-xi) = conj(fhat(xi)): its first pass is a real
-GEMM that keeps only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it
-stores the first (p+1)/2 * p**(dim-1) flat entries, and every other
-frequency has its negation stored.  full_spectrum, the per-coset scan in
-regularity and the counts built on them read sums and sups from that half.
+The loop has two entries.  The complex entry (dft, idft, Spectrum) keeps
+full spectra.  The real entry serves indicator functions, whose spectra
+satisfy fhat(-xi) = conj(fhat(xi)): its first pass is a real GEMM that keeps
+only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it stores the first
+(p+1)/2 * p**(dim-1) flat entries, and every other frequency has its
+negation stored.  full_spectrum, the per-coset scan in regularity and the
+counts built on them read sums and sups from that half.
+
+The real entry is batch-invariant: an input's stored half is the same bits
+whether it is transformed alone or as one column of any batch, so
+restricted_sup equals the scan's sup_values bit for bit.  numpy rounds a
+one-row GEMM (its vector-matrix path) unlike a matrix GEMM, so the real
+entry never runs one: a lone dim-1 input is padded with a zero column.  The
+complex entry only ever transforms one input and is not padded.
 """
 
 from __future__ import annotations
@@ -62,7 +69,8 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
     """Length-p DFT along the dim leading axes of the (p,)*dim + (B,) tensor x.
 
     Returns (B, p**dim) complex, or with real=True (real x) the
-    (B, (p+1)/2 * p**(dim-1)) stored half.  inverse conjugates W.
+    (B, (p+1)/2 * p**(dim-1)) stored half.  inverse conjugates W.  With
+    real=True row b depends on column b of x alone, bit for bit, whatever B.
     """
     x = np.asarray(x)
     batch = x.size // p**dim
@@ -70,6 +78,9 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
         return x.astype(complex).reshape(batch, 1)
     w = _root_matrix(p).conj() if inverse else _root_matrix(p)
     rows = x.size // p
+    if real and rows == 1:
+        # a one-row GEMM takes numpy's vector path: pad a zero column, keep row 0
+        return _pass_loop(np.stack([x.reshape(p), np.zeros(p)], axis=1), p, dim, real, inverse)[:1]
     if real:
         # W's first (p+1)/2 columns with each complex column split into a
         # real and an imaginary one: a real GEMM writes complex entries into
@@ -90,11 +101,6 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
         np.matmul(out.reshape(p, rows).T, w, out=spare.reshape(rows, p))
         out, spare = spare, out
     return out.reshape(batch, -1)
-
-
-def _multi_dft(vec: np.ndarray, p: int, dim: int, inverse: bool = False) -> np.ndarray:
-    """Full complex DFT of vec, the p**dim coefficients of the (p,)*dim tensor."""
-    return _pass_loop(vec, p, dim, real=False, inverse=inverse).reshape(-1)
 
 
 def _dual_data(H: SubspaceBasis):
@@ -220,7 +226,7 @@ def _coeff_values(f: DenseFunction, H: SubspaceBasis) -> np.ndarray:
 def dft(f: DenseFunction, H: SubspaceBasis) -> Spectrum:
     """Transform of f with respect to H."""
     g = _coeff_values(f, H)
-    ghat = _multi_dft(g, H.space.p, H.dim) / H.size
+    ghat = _pass_loop(g, H.space.p, H.dim, real=False)[0] / H.size
     freqs, eta = _dual_data(H)
     return Spectrum(H, freqs, ghat[eta])
 
@@ -231,7 +237,7 @@ def _idft_complex(s: Spectrum) -> np.ndarray:
     _, eta = _dual_data(H)
     ghat = np.zeros(H.size, dtype=complex)
     ghat[eta] = s.values
-    g = _multi_dft(ghat, H.space.p, H.dim, inverse=True)
+    g = _pass_loop(ghat, H.space.p, H.dim, real=False, inverse=True)[0]
     return g[_digit_reversal(H.space.p, H.dim)]
 
 

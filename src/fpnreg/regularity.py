@@ -139,13 +139,9 @@ def _scan(parts, H: SubspaceBasis, eps: float) -> list:
         size = rows.sum(axis=1)
         counts[:, lo : lo + w] = size.reshape(m, w)
         live = np.flatnonzero(size) if H.size > 1 else []
-        # At dim 1, B columns make a B-row product that matmul rounds one way at
-        # B = 1 and another at B > 1, so a transform holds one column exactly
-        # when the block is one coset wide: a lone column of a wider one goes twice.
-        per = 1 if H.dim == 1 == w else max(1, _SCAN_BLOCK // H.size)
+        per = max(1, _SCAN_BLOCK // H.size)
         for a in range(0, len(live), per):
             sel = live[a : a + per]
-            sel = np.repeat(sel, 2) if H.dim == 1 and sel.size == 1 < w else sel
             part, t = np.divmod(sel, w)
             sups[part, lo + t], witnesses[part, lo + t] = _sups_and_witnesses(H, rows[sel].T, thr[part])
     regular = sups <= thr[:, None]

@@ -605,11 +605,6 @@ def _build_coset_system(H: SubspaceBasis) -> CosetSystem:
 # ---------------------------------------------------------------------------
 
 
-def rref(space: SpaceDescriptor, vectors) -> SubspaceBasis:
-    """Canonical basis of the span of the given points."""
-    return SubspaceBasis.from_vectors(space, vectors)
-
-
 def annihilator_within(H: SubspaceBasis, frequencies) -> SubspaceBasis:
     """H' = {x in H : <x, xi> = 0 for every given frequency xi}, the
     annihilator of S = H^perp + span(xi): two row reductions, S and H', and

@@ -336,8 +336,7 @@ def test_each_refinement_costs_two_row_reductions(pn, monkeypatch):
 def test_scan_transforms_only_nonempty_cosets(pn, monkeypatch):
     """classify_vectors hands _pass_loop one column per coset that holds a
     point: one for a one-point set, none for an empty set, and as many as
-    the nonempty cosets of a 5-point set.  At dim 1 a lone column goes in
-    twice, since matmul rounds a one-row product unlike a matrix product."""
+    the nonempty cosets of a 5-point set."""
     space = SpaceDescriptor(*pn)
     gen = np.random.default_rng(9)
     columns = []
@@ -355,7 +354,7 @@ def test_scan_transforms_only_nonempty_cosets(pn, monkeypatch):
         for A in (point, DenseSubset.empty(space), five):
             columns.clear()
             nonempty = int(np.count_nonzero(classify_vectors(A, H, 0.5).counts))
-            assert sum(columns) == nonempty + (dim == 1 and nonempty == 1), (dim, A.card)
+            assert sum(columns) == nonempty, (dim, A.card)
 
 
 @pytest.mark.parametrize("block", [9, 1 << 20])

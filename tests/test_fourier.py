@@ -129,6 +129,25 @@ class TestPassLoop:
         got = _pass_loop(mask, 5, 3, real=True)
         assert np.abs(got - self.reference(mask.astype(float), 3)[:, :75]).max() < 1e-9
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_real_entry_is_batch_invariant(self, p):
+        # every 0/1 vector of length p gives the same bits alone (a one-row
+        # first pass), as a (p, 1) column, in pairs and in the batch of all 2**p
+        vecs = (np.arange(2**p)[:, None] >> np.arange(p) & 1).astype(bool)
+        batch = _pass_loop(vecs.T, p, 1, real=True)
+        for got in (
+            np.concatenate([_pass_loop(v, p, 1, real=True) for v in vecs]),
+            np.concatenate([_pass_loop(v[:, None], p, 1, real=True) for v in vecs]),
+            np.concatenate([_pass_loop(vecs[a : a + 2].T, p, 1, real=True) for a in range(0, 2**p, 2)]),
+        ):
+            assert np.array_equal(got, batch)
+        # at dim 2 a lone column already makes a p-row first pass
+        cols = np.random.default_rng(p).random((p * p, 40)) < 0.5
+        batch = _pass_loop(cols, p, 2, real=True)
+        for width in (1, 3):
+            got = np.concatenate([_pass_loop(cols[:, a : a + width], p, 2, real=True) for a in range(0, 40, width)])
+            assert np.array_equal(got, batch)
+
     def test_no_aliasing_across_calls(self):
         gen = np.random.default_rng(8)
         shapes = [(3, 4, 2, True), (5, 2, 3, False), (3, 4, 2, True), (7, 1, 1, True), (5, 2, 3, False)]

@@ -51,6 +51,20 @@ class TestRestrictedSup:
         spec = dft(DenseFunction.from_subset(localize(A, H, v), H), H)
         assert abs(restricted_sup(A, H, v) - spec.sup_nontrivial()) < 1e-12
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_equals_scan_sup_bit_for_bit_at_dim_1(self, p):
+        # the scan transforms a coset's column beside the others of its block,
+        # restricted_sup transforms it alone: one kernel, the same bits
+        gen = np.random.default_rng(p)
+        for n in (2, 3):
+            space = SpaceDescriptor(p, n)
+            for _ in range(4):
+                H = SubspaceBasis.from_vectors(space, [int(gen.integers(1, space.N))])
+                A = random_subset(space, gen)
+                cls = classify_vectors(A, H, 0.5)
+                got = np.array([restricted_sup(A, H, int(v)) for v in cls.reps])
+                assert np.array_equal(got, cls.sup_values), (n, H.rows.tolist())
+
 
 class TestClassify:
     def test_full_set_regular(self):

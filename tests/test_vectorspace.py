@@ -23,7 +23,6 @@ from fpnreg.vectorspace import (
     localized_count,
     neg,
     pairing,
-    rref,
     smul,
     subset_from_dict,
     subset_to_dict,
@@ -217,19 +216,22 @@ class TestGroupOps:
 
 
 class TestRref:
+    """SubspaceBasis.from_vectors: the canonical row-reduced basis of a span."""
+
     def test_worked_examples(self):
-        h = rref(SP32, [1, 2])  # (1,0) and (2,0)
+        h = SubspaceBasis.from_vectors(SP32, [1, 2])  # (1,0) and (2,0)
         assert h.dim == 1
-        h2 = rref(SP32, [digits_to_index(SP32, (1, 1)), digits_to_index(SP32, (0, 1))])
+        h2 = SubspaceBasis.from_vectors(SP32, [digits_to_index(SP32, (1, 1)), digits_to_index(SP32, (0, 1))])
         assert h2.dim == 2
         assert {tuple(r) for r in h2.rows} == {(1, 0), (0, 1)}
-        assert rref(SP32, []).dim == 0 and rref(SP32, []).size == 1
+        h0 = SubspaceBasis.from_vectors(SP32, [])
+        assert h0.dim == 0 and h0.size == 1
 
     @given(spaces, st.data())
     def test_idempotent(self, space, data):
         k = data.draw(st.integers(0, space.n))
         vecs = [data.draw(st.integers(0, space.N - 1)) for _ in range(k)]
-        h = rref(space, vecs)
+        h = SubspaceBasis.from_vectors(space, vecs)
         again = SubspaceBasis.from_rows(space, h.rows)
         assert again == h
 
@@ -237,7 +239,7 @@ class TestRref:
     def test_span_membership(self, space, data):
         k = data.draw(st.integers(0, space.n))
         vecs = [data.draw(st.integers(0, space.N - 1)) for _ in range(k)]
-        h = rref(space, vecs)
+        h = SubspaceBasis.from_vectors(space, vecs)
         for v in vecs:
             assert bool(h.contains(v))
         assert h.size == space.p**h.dim
