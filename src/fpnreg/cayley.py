@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .fourier import full_spectrum, rounded_count
+from .regularity import restricted_sup
 from .rng import sample_without_replacement, substreams
 from .vectorspace import (
     DenseSubset,
@@ -218,8 +219,6 @@ def pair_density_check(
     With the localization convention A_H^v = (A+v) ^ H, the exact identity is
     e(H_i, H_j) = |H| |A_H^(vi-vj)|, so diff = vi - vj throughout.
     """
-    from .regularity import restricted_sup  # local import avoids a cycle
-
     space = same_space(A, H)
     if not 0 < eps < 1 or samples < 1:
         raise InputError("need eps in (0, 1) and samples >= 1")
@@ -273,7 +272,8 @@ class PetalGraph:
     row[k] = [h_k - w in A], in position order, decides every edge: h_i has
     the coefficient index _digit_reversal(p, dim)[i], and a digit reversal
     commutes with digit-wise sums, so the midpoint of (i, j) is position
-    inv2 (i + j), digit-wise mod p.  The first edge query encodes inv2 i
+    inv2 (i + j), digit-wise mod p.  The graph keeps only that row; the two
+    sides' points are built when asked.  The first edge query encodes inv2 i
     for every position (16 u bytes) for all later ones.
 
     any_edge and right_degrees_into take a batch of trials, one position
@@ -288,18 +288,20 @@ class PetalGraph:
         self.v2 = int(_check_index(space, v2))
         self.space = space
         self.u = H.size
-        rev = _digit_reversal(space.p, H.dim)
-        self._left = H._localization(self.v1)[rev, 0]
-        self._right = H._localization(self.v2)[rev, 0]
         w = int(space.smul(space.inv2, space.add(self.v1, self.v2)))
-        self._row = generator.mask[H._localization(w)[rev, 0]]
+        self._row = generator.mask[self._points(w)]
         self._degree = int(self._row.sum())
 
+    def _points(self, v: int) -> np.ndarray:
+        """h_i - v for every position i: the localization gather of v, read in
+        H.elements() order."""
+        return self.H._localization(v)[_digit_reversal(self.space.p, self.H.dim), 0]
+
     def left_points(self) -> np.ndarray:
-        return self._left
+        return self._points(self.v1)
 
     def right_points(self) -> np.ndarray:
-        return self._right
+        return self._points(self.v2)
 
     @functools.cached_property
     def _codes(self) -> np.ndarray:

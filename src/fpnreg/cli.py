@@ -37,7 +37,7 @@ from .randmodel import (
 )
 from .regularity import regularize, regularize_multi, tower
 from .threeap import (
-    FLOWER_MAX_PARTS,
+    MAX_PARTS,
     canonical_split,
     capset_max_exhaustive,
     count_3aps_fourier,
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize-multi", help="joint decomposition of a canonical split")
     common(p, setinput=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"number of parts, 1 to {MAX_PARTS}")
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--floor", type=int, default=1)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flower-find", help="search the canonical split for a flower")
     common(p, setinput=True)
-    p.add_argument("--m", type=int, required=True, help=f"number of parts, 3 to {FLOWER_MAX_PARTS}")
+    p.add_argument("--m", type=int, required=True, help=f"number of parts, 3 to {MAX_PARTS}")
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--floor", type=int, default=1)

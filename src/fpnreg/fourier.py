@@ -112,15 +112,14 @@ def _dual_data(H: SubspaceBasis):
     form in the digits of k and eta = sum_j eta_j p^j: one _digit_table of
     the matrix rows[:, F].T, with no point decoded.
     """
-    if "dual" not in H._cache:
-        p = H.space.p
-        perp = H.annihilator()
+    def build():
+        p, perp = H.space.p, H.annihilator()
         freqs = perp.coset_reps()
         if len(freqs) != H.size:
             raise AssertionError("dual representative count must equal |H|")
-        eta = _digit_table(p, H.rows[:, list(perp.free)].T, [p**j for j in range(H.dim)])
-        H._cache["dual"] = (freqs, eta)
-    return H._cache["dual"]
+        return freqs, _digit_table(p, H.rows[:, list(perp.free)].T, _weights(p, H.dim))
+
+    return H._cached("dual", build)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ the decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,9 @@ def _witnesses(H: SubspaceBasis, eta: np.ndarray) -> np.ndarray:
     at F_r, for N = _null_rows(H^perp) and F the free coordinates of H^perp.
     N's pivot columns and the place values p^F are cached on H."""
     p, perp = H.space.p, H.annihilator()
-    if "witness_map" not in H._cache:
-        H._cache["witness_map"] = _null_rows(perp)[:, list(H.pivots)], H.space.weights[list(perp.free)]
-    null, place = H._cache["witness_map"]
+    null, place = H._cached(
+        "witness_map", lambda: (_null_rows(perp)[:, list(H.pivots)], H.space.weights[list(perp.free)])
+    )
     ids = null @ (eta // _weights(p, H.dim)[:, None] % p) % p
     return np.minimum(place @ ids, place @ (-ids % p))
 
@@ -290,11 +290,11 @@ def _validate_params(eps, alpha, floor, m):
         ) from None
 
 
-def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
+def _iterate(parts, eps, alpha, floor):
     """Refine from H = V on the lowest-index failing part.  Each visited H
     costs one joint scan of all parts (_scan), whose counts give the energy."""
     space = same_space(*parts)
-    step_cap, statement_cap = _step_caps(eps, alpha, m)
+    step_cap, statement_cap = _step_caps(eps, alpha, len(parts))
     H = SubspaceBasis.full(space)
     nonempty = any(A.card for A in parts)
     trace, index_trace, mass_trace = [], [], []
@@ -320,12 +320,6 @@ def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
         H = new_h
         iterations += 1
 
-    claim_bound = claim_ok = None
-    if sigma is not None and delta is not None and m == 1:
-        claim_bound = (1 + delta) ** 2 * 4 / alpha**2
-        checked = [e for e, k in zip(trace, index_trace) if space.N // k >= sigma * space.N]
-        claim_ok = all(e <= claim_bound + ENERGY_TOL for e in checked)
-
     return RegularityReport(
         H_final=H,
         iterations=iterations,
@@ -337,8 +331,6 @@ def _iterate(parts, eps, alpha, floor, m, sigma=None, delta=None):
         stop_reason=stop,
         step_cap=step_cap,
         statement_step_cap=statement_cap,
-        claim_bound=claim_bound,
-        claim_ok=claim_ok,
     )
 
 
@@ -363,7 +355,12 @@ def regularize(
     for name, value in (("sigma", sigma), ("delta", delta)):
         if value is not None and not 0 < value < 1:
             raise InputError(f"{name} must lie in (0, 1), got {value}")
-    return _iterate([A], eps, alpha, floor, 1, sigma=sigma, delta=delta)
+    report = _iterate([A], eps, alpha, floor)
+    if sigma is None or delta is None:
+        return report
+    bound, N = (1 + delta) ** 2 * 4 / alpha**2, A.space.N
+    checked = [e for e, k in zip(report.energy_trace, report.index_trace) if N // k >= sigma * N]
+    return replace(report, claim_bound=bound, claim_ok=all(e <= bound + ENERGY_TOL for e in checked))
 
 
 def regularize_multi(parts, eps: float, alpha: float, floor: int = 1) -> RegularityReport:
@@ -385,7 +382,7 @@ def regularize_multi(parts, eps: float, alpha: float, floor: int = 1) -> Regular
         if (union & A.mask).any():
             raise InputError("parts must be pairwise disjoint")
         union |= A.mask
-    return _iterate(parts, eps, alpha, floor, len(parts))
+    return _iterate(parts, eps, alpha, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ from .vectorspace import (
 # full pair search; the picks are distinct, so x = z cannot occur in it.
 _PROBE = 64
 
-# Most parts flower_find splits a set into: its part-triple loop takes about
-# m^3 steps, 0.16 s at m = 32 and 12 s at m = 128 for a 4-point set of F_3^2
-# on a 2-core VM.
-FLOWER_MAX_PARTS = 32
+# Most parts canonical_split makes: each part holds an N-byte mask, and
+# flower_find's part-triple loop takes about m^3 steps, 0.16 s at m = 32 and
+# 12 s at m = 128 for a 4-point set of F_3^2 on a 2-core VM.
+MAX_PARTS = 32
 
 
 @dataclass(frozen=True)
@@ -368,18 +368,11 @@ class FlowerSearchReport:
 
 
 def canonical_split(A: DenseSubset, m: int) -> list[DenseSubset]:
-    """Partition A into m near-equal parts by ascending index blocks."""
-    if m < 1:
-        raise InputError("m must be >= 1")
-    members = A.members()
-    base, rem = divmod(len(members), m)
-    parts = []
-    at = 0
-    for i in range(m):
-        size = base + (1 if i < rem else 0)
-        parts.append(DenseSubset.from_members(A.space, members[at : at + size]))
-        at += size
-    return parts
+    """Partition A into 1 <= m <= MAX_PARTS near-equal parts by ascending index blocks."""
+    if not 1 <= m <= MAX_PARTS:
+        raise InputError(f"splits need 1 to {MAX_PARTS} parts, got m = {m}")
+    # the first len(A) % m blocks hold one member more than the others
+    return [DenseSubset.from_members(A.space, block) for block in np.array_split(A.members(), m)]
 
 
 def flower_find(
@@ -396,10 +389,10 @@ def flower_find(
     case 2 assigns non-triply-shared reps to disjoint per-part pools), then
     maximize the midpoint petal count exactly over (i0, j0, k0) and centers.
     Failures report the stage that degenerated.  m runs from 3 to
-    FLOWER_MAX_PARTS (32); any other m raises InputError.
+    MAX_PARTS (32); any other m raises InputError.
     """
-    if not 3 <= m <= FLOWER_MAX_PARTS:
-        raise InputError(f"flowers need 3 to {FLOWER_MAX_PARTS} parts, got m = {m}")
+    if m < 3:
+        raise InputError(f"flowers need 3 to {MAX_PARTS} parts, got m = {m}")
     space = A.space
     parts = canonical_split(A, m)
     part_sizes = tuple(p.card for p in parts)

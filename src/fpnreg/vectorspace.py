@@ -4,6 +4,10 @@ Points are flat indices in [0, p^n); the digit expansion is little-endian
 base p, so digit i is coordinate i.  Subsets are bit masks over the flat
 index space, subspaces are canonical reduced-row-echelon bases, and cosets
 get deterministic minimal-index representatives.
+
+Tables derived from a subspace, fourier's dual data and regularity's witness
+map included, are built once through SubspaceBasis._cached: only
+SubspaceBasis reads or writes its _cache, and every array cached is read-only.
 """
 
 from __future__ import annotations
@@ -115,41 +119,6 @@ def same_space(*objs) -> SpaceDescriptor:
     if len(spaces) != 1:
         raise InputError(f"operands live in different spaces: {sorted((s.p, s.n) for s in spaces)}")
     return next(iter(spaces))
-
-
-# ---------------------------------------------------------------------------
-# codec / group ops, validated public form
-# ---------------------------------------------------------------------------
-
-
-def index_to_digits(space: SpaceDescriptor, index: int) -> tuple:
-    _check_index(space, index)
-    return tuple(int(d) for d in space.digits(index))
-
-
-def digits_to_index(space: SpaceDescriptor, digits) -> int:
-    d = np.asarray(digits, dtype=np.int64)
-    if d.shape != (space.n,):
-        raise InputError(f"expected {space.n} digits, got shape {d.shape}")
-    if d.size and (d.min() < 0 or d.max() >= space.p):
-        raise InputError(f"digits must lie in [0, {space.p})")
-    return int(space.index(d))
-
-
-def add(space: SpaceDescriptor, a, b):
-    return space.add(_check_index(space, a), _check_index(space, b))
-
-
-def neg(space: SpaceDescriptor, a):
-    return space.neg(_check_index(space, a))
-
-
-def smul(space: SpaceDescriptor, c: int, a):
-    return space.smul(c, _check_index(space, a))
-
-
-def pairing(space: SpaceDescriptor, a, b):
-    return space.pair(_check_index(space, a), _check_index(space, b))
 
 
 def _digit_table(p: int, M, weights, shift=None, base=None) -> np.ndarray:
@@ -418,7 +387,7 @@ class SubspaceBasis:
     zero-at-pivot-coordinates element of each coset its minimal flat index.
     """
 
-    __slots__ = ("space", "rows", "dim", "size", "pivots", "_cache")
+    __slots__ = ("space", "rows", "dim", "size", "pivots", "free", "_cache")
 
     def __init__(self, space: SpaceDescriptor, rows: np.ndarray, pivots):
         self.space = space
@@ -428,6 +397,8 @@ class SubspaceBasis:
         self.dim = rows.shape[0]
         self.size = space.p ** self.dim
         self.pivots = tuple(pivots)
+        # the coordinates that are not pivots, ascending: the axes of V/H
+        self.free = tuple(f for f in range(space.n) if f not in self.pivots)
         self._cache = {}
 
     # -- construction ---------------------------------------------------
@@ -478,53 +449,54 @@ class SubspaceBasis:
 
     # -- cached enumerations ----------------------------------------------
 
-    @property
-    def free(self) -> tuple:
-        """Coordinates that are not pivots, ascending: the axes of V/H."""
-        return tuple(f for f in range(self.space.n) if f not in self.pivots)
+    def _cached(self, key: str, build):
+        """The table stored under key, built by build() on first use.  Every
+        array it stores, alone or in a tuple, is made read-only."""
+        table = self._cache.get(key)
+        if table is None:
+            table = self._cache[key] = build()
+            for a in table if isinstance(table, tuple) else (table,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        return table
 
     def _coeff_elements(self) -> np.ndarray:
         """Element indices in coefficient-lex order: entry c is h_c, the
         _digit_table of every column of rows."""
-        if "coeff_elements" not in self._cache:
-            self._cache["coeff_elements"] = _digit_table(self.space.p, self.rows, self.space.weights)
-        return self._cache["coeff_elements"]
+        space = self.space
+        return self._cached("coeff_elements", lambda: _digit_table(space.p, self.rows, space.weights))
 
     def elements(self) -> np.ndarray:
         """Member indices, ascending.  Pivots descend and row j is 0 above
         pivot j, so h_c's order is c's digits read with c_0 the most
         significant: entry i is _coeff_elements()[_digit_reversal(p, dim)[i]]."""
-        if "elements" not in self._cache:
-            e = self._coeff_elements()[_digit_reversal(self.space.p, self.dim)]
-            e.flags.writeable = False
-            self._cache["elements"] = e
-        return self._cache["elements"]
+        p, dim = self.space.p, self.dim
+        return self._cached("elements", lambda: self._coeff_elements()[_digit_reversal(p, dim)])
 
     def member_mask(self) -> np.ndarray:
-        if "member_mask" not in self._cache:
+        def build():
             m = np.zeros(self.space.N, dtype=bool)
             m[self._coeff_elements()] = True
-            m.flags.writeable = False
-            self._cache["member_mask"] = m
-        return self._cache["member_mask"]
+            return m
+
+        return self._cached("member_mask", build)
 
     def as_subset(self) -> DenseSubset:
         return DenseSubset(self.space, self.member_mask())
 
     def annihilator(self) -> "SubspaceBasis":
         """H^perp = {xi : <x, xi> = 0 for all x in H}, within V."""
-        if "annihilator" not in self._cache:
-            self._cache["annihilator"] = SubspaceBasis.from_rows(self.space, _null_rows(self))
-        return self._cache["annihilator"]
+        return self._cached("annihilator", lambda: SubspaceBasis.from_rows(self.space, _null_rows(self)))
 
     def coset_reps(self) -> np.ndarray:
         """Canonical representatives of V/H, ascending: the points that are 0
         at every pivot.  Entry k has digit k_r at free[r], where
         k = sum_r k_r p^r, so the entry's position is its coset id."""
-        if "coset_reps" not in self._cache:
-            p, q = self.space.p, len(self.free)
-            self._cache["coset_reps"] = _digit_table(p, np.eye(q, dtype=np.int64), [p**f for f in self.free])
-        return self._cache["coset_reps"]
+        def build():
+            free = list(self.free)
+            return _digit_table(self.space.p, np.eye(len(free), dtype=np.int64), self.space.weights[free])
+
+        return self._cached("coset_reps", build)
 
     def _localization(self, v: int, s: int = 0) -> np.ndarray:
         """G[c, t] = flat(h_c - v - x_t), shape (|H|, p**s).
@@ -548,9 +520,7 @@ class SubspaceBasis:
         return G.reshape(space.p**s, self.size).T
 
     def coset_system(self) -> "CosetSystem":
-        if "coset_system" not in self._cache:
-            self._cache["coset_system"] = _build_coset_system(self)
-        return self._cache["coset_system"]
+        return self._cached("coset_system", lambda: _build_coset_system(self))
 
 
 @dataclass(frozen=True)
@@ -614,7 +584,7 @@ def annihilator_within(H: SubspaceBasis, frequencies) -> SubspaceBasis:
     span = SubspaceBasis.from_rows(space, np.vstack([H.annihilator().rows, space.digits(freqs)]))
     refined = SubspaceBasis.from_rows(space, _null_rows(span))
     # one way only: span keeps no reference back to refined
-    refined._cache["annihilator"] = span
+    refined._cached("annihilator", lambda: span)
     return refined
 
 
@@ -626,9 +596,7 @@ def localize(A: DenseSubset, H: SubspaceBasis, v: int) -> DenseSubset:
     """The localization (A + v) intersect H, as a subset supported on H."""
     space = same_space(A, H)
     sel = A.mask[H._localization(_check_index(space, v))[:, 0]]
-    mask = np.zeros(space.N, dtype=bool)
-    mask[H._coeff_elements()[sel]] = True
-    return DenseSubset(space, mask)
+    return DenseSubset.from_members(space, H._coeff_elements()[sel])
 
 
 def localized_count(A: DenseSubset, H: SubspaceBasis, v: int) -> int:

@@ -184,18 +184,20 @@ class TestErrors:
         assert status == 2 and out == ""
         assert "cap" in err and "Traceback" not in err
 
-    def test_flower_find_m_above_the_part_cap(self):
-        # an unbounded m splits 4 points into 100000 parts, and the part-triple
-        # loop grows as m^3: run it in a child with a timeout
+    @pytest.mark.parametrize("command", ["flower-find", "regularize-multi"])
+    def test_m_above_the_part_cap(self, command):
+        # an unbounded m splits 4 points into 100000 parts, one N-byte mask
+        # each, and flower-find's part-triple loop grows as m^3: run it in a
+        # child with a timeout
         src = str(Path(fpnreg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = ["flower-find", "--p", "3", "--n", "2", "--members", "0,1,2,3", "--m", "100000",
+        argv = [command, "--p", "3", "--n", "2", "--members", "0,1,2,3", "--m", "100000",
                 "--eps", "0.5", "--alpha", "1"]
         proc = subprocess.run(
             [sys.executable, "-m", "fpnreg.cli", *argv], env=env, capture_output=True, text=True, timeout=30
         )
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "3 to 32 parts" in proc.stderr and "Traceback" not in proc.stderr
+        assert "to 32 parts" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -156,6 +156,35 @@ def test_witness_map_matches_codec(p, n, dim, seed):
     assert np.array_equal(regularity._witnesses(H, np.arange(H.size)), witness_map_oracle(H))
 
 
+def _cached_arrays(H: SubspaceBasis) -> list:
+    """Every array H keeps in its cache, through tuples and cached subspaces."""
+    stack, arrays = list(H._cache.values()), []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, SubspaceBasis):
+            stack += [obj.rows, *obj._cache.values()]
+        elif isinstance(obj, tuple):
+            stack += obj
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+    return arrays
+
+
+def test_cached_tables_are_read_only():
+    """A scan that maps witnesses and a transform over the same H leave only
+    read-only arrays in H's cache, the witness map and dual data included."""
+    space = SpaceDescriptor(5, 3)
+    H = SubspaceBasis.from_rows(space, [[1, 0, 0], [0, 1, 0]])
+    A = DenseSubset.from_members(space, [0, 1, 26, 60, 124])
+    assert (classify_vectors(A, H, 0.1).witness_freqs >= 0).any()
+    dft(DenseFunction.from_subset(A, H), H)
+    H.member_mask(), H.coset_system()
+    assert {"witness_map", "dual", "coeff_elements", "elements", "member_mask", "annihilator",
+            "coset_reps", "coset_system"} <= H._cache.keys()
+    arrays = _cached_arrays(H)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
 def test_restricted_sup_is_translation_invariant_within_the_coset():
     space = SpaceDescriptor(5, 3)
     gen = np.random.default_rng(3)
@@ -514,10 +543,11 @@ def test_joint_scan_memory_budget(p, n):
 
 @pytest.mark.parametrize("p, n", [(3, 12), (5, 8)])
 def test_petal_graph_on_the_whole_space_memory_budget(p, n):
-    """PetalGraph with H = V holds three localization rows and no digit
-    table: its construction peaks at most 64 N bytes above the mask."""
+    """PetalGraph with H = V holds one localization row and no digit
+    table, and builds its left and right points only when asked: its
+    construction peaks at most 32 N bytes above the mask."""
     N, peak = _peak("PetalGraph(H = V)", p, n)
-    assert peak <= 64 * N
+    assert peak <= 32 * N
 
 
 def test_direct_edge_count_memory_budget():

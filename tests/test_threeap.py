@@ -438,6 +438,13 @@ class TestCanonicalSplit:
         assert union.max(initial=0) <= 1
         assert np.array_equal(union.astype(bool), A.mask)
 
+    def test_part_count_is_bounded(self):
+        A = DenseSubset.full(SP34)
+        assert len(canonical_split(A, threeap.MAX_PARTS)) == 32
+        for m in (0, 33):
+            with pytest.raises(InputError):
+                canonical_split(A, m)
+
 
 class TestPetalCandidates:
     def test_full_set_all_reps_qualify(self):
