@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fourier import full_spectrum, rounded_count
+# full_spectrum is not called here; it stays bound for bench/tracing.py, which wraps every binding
+from .fourier import _nontrivial_sup, _spectrum_plane, full_spectrum, rounded_count
 from .regularity import restricted_sup
 from .rng import sample_without_replacement, substreams
 from .vectorspace import (
@@ -80,12 +81,19 @@ def edge_count_fourier(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> float:
     """Spectral edge count N^2 sum_xi Ahat(xi) Xhat(xi) conj(Yhat(xi)); equals
     the direct count up to round-off.  All three sets are real, so the term
     of -xi is the conjugate of the term of xi: the sum is the top-digit-0
-    plane of the stored halves plus 2 Re of the rest."""
+    plane of the stored halves plus 2 Re of the rest.  The sum runs one
+    stored plane at a time and holds one plane of products while the next
+    transform runs: about three N/p-entry complex buffers (48 N/p bytes;
+    budget 16 N bytes at 5^10 and 13^6)."""
     space = same_space(A, X, Y)
-    terms = full_spectrum(space, A.mask) * full_spectrum(space, X.mask)
-    terms *= full_spectrum(space, Y.mask).conj()
-    plane = space.N // space.p
-    total = terms[:plane].sum().real + 2 * terms[plane:].sum().real
+    total = 0.0
+    for t in range((space.p + 1) // 2):
+        terms = _spectrum_plane(space, Y.mask, t)
+        np.conjugate(terms, out=terms)
+        terms *= _spectrum_plane(space, A.mask, t)
+        terms *= _spectrum_plane(space, X.mask, t)
+        total += (1 if t == 0 else 2) * terms.sum().real
+        del terms  # not held while the next plane's transforms run
     return float(total) * space.N**2
 
 
@@ -122,11 +130,13 @@ class RegularityCertificate:
 
 
 def sigma_certificate(R: DenseSubset, sigma: float, delta: float) -> RegularityCertificate:
+    """The certificate of R's Fourier sup over nontrivial frequencies, read
+    one stored plane of the half spectrum at a time: about two N/p-entry
+    complex buffers (32 N/p bytes; budget 12 N bytes at 5^10 and 13^6)."""
     if not 0 < sigma < 1 or not 0 < delta < 1:
         raise InputError("sigma and delta must lie in (0, 1)")
     space = R.space
-    spec = full_spectrum(space, R.mask)  # |Rhat(-xi)| = |Rhat(xi)|, so the half holds the sup
-    sup = float(np.abs(spec[1:]).max()) if space.N > 1 else 0.0
+    sup = _nontrivial_sup(space, R.mask)
     passed = sup <= delta * sigma * R.card / space.N
     return RegularityCertificate(sigma, delta, sup, passed, R.card, space.N)
 

@@ -26,8 +26,19 @@ The real entry is batch-invariant: an input's stored half is the same bits
 whether it is transformed alone or as one column of any batch, so
 restricted_sup equals the scan's sup_values bit for bit.  numpy rounds a
 one-row GEMM (its vector-matrix path) unlike a matrix GEMM, so the real
-entry never runs one: a lone dim-1 input is padded with a zero column.  The
-complex entry only ever transforms one input and is not padded.
+entry never runs one: a lone dim-1 input is padded with a zero column.  dft
+and idft transform one input through the complex entry, unpadded.
+
+The full-group counts and sups (count_3aps_fourier, edge_count_fourier,
+sigma_certificate, fourier_sup_report) do not hold the stored half.
+_spectrum_plane builds it one leading-frequency plane at a time, bit for
+bit the matching slice of full_spectrum: plane t is column t of the real
+first pass, one real GEMM per chunk of input rows so a 0/1 mask is never
+copied to float64 whole, then the n-1 trailing passes through the complex
+entry.  A plane has N/p entries and its build holds at most two such
+complex buffers, 32 N/p bytes.  No GEMM of the plane path has one row
+either: a lone input row is padded as the real entry pads it, and at n = 2
+the one trailing pass gets a zero second input.
 """
 
 from __future__ import annotations
@@ -94,7 +105,9 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
     out = np.empty(rows * q, dtype=complex)
     dst = out.view(np.float64) if real else out
     np.matmul(src.reshape(p, rows).T, first_w, out=dst.reshape(rows, -1))
-    del src  # a converted copy of x is not needed past the first pass
+    # neither x nor a converted copy is needed past the first pass; an input
+    # no caller holds is freed here
+    del x, src
     spare = np.empty_like(out) if dim > 1 else None
     rows = out.size // p
     for _ in range(1, dim):
@@ -304,10 +317,81 @@ def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
     (p-1)/2.  Every other xi has its negation stored, and
     Ahat(xi) = conj(out[-xi]).  The top-digit-0 plane out[:N/p] is closed
     under negation; each of the other stored planes stands for itself and
-    its conjugate."""
+    its conjugate.
+
+    The call holds the whole half, (p+1)/2 planes of N/p complex entries,
+    and the pass loop's second buffer of the same size, 16 (p+1) N/p bytes:
+    19.2 N at p = 5, 17.2 N at p = 13.  _spectrum_plane returns plane t
+    alone, the same bits, in 32 N/p bytes of working memory."""
     out = _pass_loop(values, space.p, space.n, real=True).reshape(-1)
     out /= space.N
     return out
+
+
+# Input rows converted to float64 per GEMM of a plane's first pass: at most
+# 4096 * 13 floats (426 kB) at a time, never an N-sized float copy.
+_PLANE_ROWS = 1 << 12
+
+
+def _plane_head(values, p: int, t: int) -> np.ndarray:
+    """Column t of full_spectrum's first pass over real values: the (N/p,)
+    complex transform of the leading axis at frequency t, unnormalized.
+
+    One real GEMM per chunk of rows against W's column t split into a real
+    and an imaginary column.  No chunk has one row (numpy would take its
+    vector path): a last row of its own joins the chunk before it, and a
+    lone row is padded with a zero column, as the real entry pads it.
+    """
+    src = np.asarray(values).reshape(p, -1)
+    rows = src.shape[1]
+    col = np.ascontiguousarray(_root_matrix(p)[:, t : t + 1]).view(np.float64)
+    head = np.empty(rows, dtype=complex)
+    dst = head.view(np.float64).reshape(rows, 2)
+    starts = list(range(0, rows, _PLANE_ROWS))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    # a lone row keeps the block's second column zero as its pad
+    block = np.zeros((p, max(2, min(rows, _PLANE_ROWS + 1))))
+    for lo, hi in zip(starts, starts[1:] + [rows]):
+        block[:, : hi - lo] = src[:, lo:hi]
+        dst[lo:hi] = (block[:, : max(hi - lo, 2)].T @ col)[: hi - lo]
+    return head
+
+
+def _spectrum_plane(space: SpaceDescriptor, values, t: int) -> np.ndarray:
+    """Plane t of full_spectrum(space, values), bit for bit: its N/p entries
+    t*N/p .. (t+1)*N/p - 1, the frequencies with top digit t, for
+    0 <= t <= (p-1)/2.
+
+    The first pass is _plane_head; the n-1 trailing passes are _pass_loop's
+    complex entry over the plane, which frees the head after its first pass.
+    A call holds at most two N/p-entry complex buffers (32 N/p bytes) and
+    returns one.  At n = 2 the one trailing pass would be a one-row GEMM, so
+    the plane is padded with a zero input, as full_spectrum's pass has
+    (p+1)/2 rows there.
+    """
+    p, n = space.p, space.n
+    if n == 1:
+        plane = _plane_head(values, p, t)
+    elif n == 2:
+        head = _plane_head(values, p, t)
+        plane = _pass_loop(np.stack([head, np.zeros_like(head)], axis=1), p, 1, real=False)[0]
+    else:
+        # no name holds the head, so _pass_loop frees it after its first pass
+        plane = _pass_loop(_plane_head(values, p, t), p, n - 1, real=False)[0]
+    plane /= space.N
+    return plane
+
+
+def _nontrivial_sup(space: SpaceDescriptor, values) -> float:
+    """max over xi != 0 of |fhat(xi)| for real values, one stored plane at a
+    time: |fhat(-xi)| = |fhat(xi)|, so the stored half holds the sup.  Equals
+    np.abs(full_spectrum(space, values)[1:]).max() bit for bit."""
+    sups = (
+        np.abs(_spectrum_plane(space, values, t)[1 if t == 0 else 0 :]).max(initial=0.0)
+        for t in range((space.p + 1) // 2)
+    )
+    return float(max(sups))
 
 
 def rounded_count(total: float, what: str) -> int:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .fourier import full_spectrum, rounded_count
+# full_spectrum is not called here; it stays bound for bench/tracing.py, which wraps every binding
+from .fourier import _spectrum_plane, full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
 from .rng import substreams
 from .vectorspace import (
@@ -80,20 +81,33 @@ def count_3aps_fourier(A: DenseSubset) -> int:
     conjugate of the term of xi: the sum is the top-digit-0 plane of the
     stored half plus 2 Re of its other planes.  Plane t pairs with plane
     2t mod p for Ahat(2xi), read as the conj of the stored plane p - 2t when
-    2t mod p is not stored.  Raises ContractError when the total is not
-    within ROUNDING_MARGIN of an integer.
+    2t mod p is not stored.  The planes are built one at a time along the
+    cycles of t -> +-2t mod p, each once; a cycle holds its first plane, the
+    current one and the next, so the call peaks at about five N/p-entry
+    complex buffers (80 N/p bytes; budget 18 N bytes at 5^10, 10 N at 13^6).
+    The per-plane terms are added in t order.  Raises ContractError when
+    the total is not within ROUNDING_MARGIN of an integer.
     """
     space = A.space
     p, n = space.p, space.n
-    planes = full_spectrum(space, A.mask).reshape((p + 1) // 2, -1)
+    half = (p + 1) // 2
+    terms = [None] * half
+    for start in range(half):
+        if terms[start] is not None:
+            continue
+        t = start
+        first = plane = _spectrum_plane(space, A.mask, start)
+        while terms[t] is None:
+            s = 2 * t % p
+            u = s if s < half else p - s
+            nxt = first if u == start else _spectrum_plane(space, A.mask, u)
+            dbl = _dilate(nxt, p, n - 1, 2) if s < half else _dilate(nxt, p, n - 1, -2).conj()
+            terms[t] = float((plane.conj() ** 2 * dbl).sum().real)
+            del dbl  # not held while the next plane builds
+            t, plane = u, nxt
+        del first, plane, nxt  # nor this cycle's planes while the next one starts
     total = 0.0
-    for t, plane in enumerate(planes):
-        s = 2 * t % p
-        if s < len(planes):
-            dbl = _dilate(planes[s], p, n - 1, 2)
-        else:
-            dbl = _dilate(planes[p - s], p, n - 1, -2).conj()
-        term = float((plane.conj() ** 2 * dbl).sum().real)
+    for t, term in enumerate(terms):
         total += term if t == 0 else 2 * term
     return rounded_count(total * float(space.N) ** 2, "3AP count")
 

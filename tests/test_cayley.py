@@ -87,12 +87,12 @@ class TestEdgeCounts:
 
     def test_rounding_margin_guard(self, monkeypatch):
         # full sets on F_3^2 take the spectral branch (81 pairs > 4 N n = 72);
-        # scaling each of the three spectra by s scales the total 81 by s^3
+        # scaling every plane of the three spectra by s scales the total 81 by s^3
         full = DenseSubset.full(SP32)
-        exact = cayley.full_spectrum
+        exact = cayley._spectrum_plane
         for total, ok in ((81.2, True), (81.5, False)):
             s = (total / 81) ** (1 / 3)
-            monkeypatch.setattr(cayley, "full_spectrum", lambda space, v, s=s: exact(space, v) * s)
+            monkeypatch.setattr(cayley, "_spectrum_plane", lambda space, v, t, s=s: exact(space, v, t) * s)
             if ok:
                 assert edge_count(full, full, full) == 81
             else:

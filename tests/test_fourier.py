@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fpnreg.fourier as fourier
+from fpnreg.cayley import sigma_certificate
 from fpnreg.errors import InputError
 from fpnreg.fourier import (
     DenseFunction,
@@ -17,7 +19,7 @@ from fpnreg.fourier import (
 )
 from fpnreg.vectorspace import DenseSubset, SpaceDescriptor, SubspaceBasis, localize
 
-from helpers import convolve_direct, dft_naive, random_subspace
+from helpers import ORACLE_MAX_N, PRIMES, convolve_direct, dft_naive, peak_bytes, random_subspace, run_peak_script
 
 SP32 = SpaceDescriptor(3, 2)
 SP33 = SpaceDescriptor(3, 3)
@@ -175,6 +177,30 @@ class TestPassLoop:
             assert np.abs(flat - want[: len(flat)]).max() < 1e-12
 
 
+class TestSpectrumPlanes:
+    """The plane path (one leading-frequency plane of the stored half at a
+    time) against full_spectrum, bit for bit."""
+
+    # chunks of 2 and 4 rows leave a last row of its own at odd plane sizes
+    @pytest.mark.parametrize("chunk", [None, 2, 4])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_planes_are_full_spectrum_slices(self, p, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(fourier, "_PLANE_ROWS", chunk)
+        gen = np.random.default_rng(p)
+        for n in range(1, ORACLE_MAX_N[p] + 1):
+            space = SpaceDescriptor(p, n)
+            size = space.N // p
+            for density in (0.0, 0.3, 1.0):
+                mask = gen.random(space.N) < density
+                full = full_spectrum(space, mask)
+                for t in range((p + 1) // 2):
+                    plane = fourier._spectrum_plane(space, mask, t)
+                    assert plane.tobytes() == full[t * size : (t + 1) * size].tobytes(), (n, density, t)
+                sup = sigma_certificate(DenseSubset(space, mask), 0.5, 0.5).fourier_sup
+                assert sup.hex() == float(np.abs(full[1:]).max()).hex(), (n, density)
+
+
 class TestSpectrum:
     def test_coset_well_defined(self):
         gen = np.random.default_rng(5)
@@ -318,3 +344,49 @@ class TestIdentitySuite:
         cnt = localize(A, H, v).card
         for xi in H.annihilator().elements():
             assert abs(sv.value_at(int(xi)) - cnt / H.size) < 1e-12
+
+
+# Runs in a fresh interpreter (helpers.PEAK_PRELUDE supplies measure).  The
+# mask comes from uint8 draws, with no N-sized float temporary.
+_FULL_GROUP_PEAK_SCRIPT = """
+import numpy as np
+from fpnreg.cayley import edge_count_fourier, sigma_certificate
+from fpnreg.randmodel import fourier_sup_report
+from fpnreg.threeap import count_3aps_fourier
+from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
+ops = {
+    "sigma_certificate": lambda A: sigma_certificate(A, 0.5, 0.5),
+    "fourier_sup_report": fourier_sup_report,
+    "edge_count_fourier": lambda A: edge_count_fourier(A, A, A),
+    "count_3aps_fourier": count_3aps_fourier,
+}
+op = ops[sys.argv[1]]
+op(DenseSubset.full(SpaceDescriptor(5, 2)))
+space = SpaceDescriptor(int(sys.argv[2]), int(sys.argv[3]))
+bits = np.random.default_rng(0).integers(0, 2, size=space.N, dtype=np.uint8)
+A = DenseSubset(space, bits.view(bool))
+_, reading = measure(lambda: op(A))
+print(json.dumps({"N": space.N, **reading}))
+"""
+
+
+_FULL_GROUP_BUDGETS = [
+    ("sigma_certificate", 12, 12),
+    ("fourier_sup_report", 12, 12),
+    ("edge_count_fourier", 16, 16),
+    ("count_3aps_fourier", 18, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "op, p, n, budget",
+    [(op, 5, 10, at5) for op, at5, _ in _FULL_GROUP_BUDGETS]
+    + [(op, 13, 6, at13) for op, _, at13 in _FULL_GROUP_BUDGETS],
+)
+def test_full_group_memory_budget(op, p, n, budget):
+    """The full-group entry points build the stored half one plane of N/p
+    entries at a time: on a density-1/2 set they peak at most budget * N
+    bytes above the mask.  The count holds up to five planes (80 N/p bytes),
+    so its budget is smaller at p = 13."""
+    out = run_peak_script(_FULL_GROUP_PEAK_SCRIPT, op, p, n)
+    assert peak_bytes(out) <= budget * out["N"]

@@ -95,12 +95,12 @@ class TestCounting:
         assert count_3aps_fourier(A) == count_3aps_naive(A)
 
     def test_rounding_margin_guard(self, monkeypatch):
-        # scaling the spectrum by s scales the cubic total 81 by s^3
+        # scaling every plane of the spectrum by s scales the cubic total 81 by s^3
         full = DenseSubset.full(SP32)
-        exact = threeap.full_spectrum
+        exact = threeap._spectrum_plane
         for total, ok in ((81.2, True), (81.5, False)):
             s = (total / 81) ** (1 / 3)
-            monkeypatch.setattr(threeap, "full_spectrum", lambda space, v, s=s: exact(space, v) * s)
+            monkeypatch.setattr(threeap, "_spectrum_plane", lambda space, v, t, s=s: exact(space, v, t) * s)
             if ok:
                 assert count_3aps_fourier(full) == 81
             else:
@@ -115,29 +115,9 @@ class TestCounting:
             assert count_3aps_fourier(A) == count_3aps_naive(A)
 
 
-# Runs in a fresh interpreter (helpers.PEAK_PRELUDE supplies measure).  The
-# mask comes from uint8 draws, with no N-sized float temporary.
-_PEAK_SCRIPT = """
-import numpy as np
-from fpnreg.threeap import count_3aps_fourier
-from fpnreg.vectorspace import DenseSubset, SpaceDescriptor
-count_3aps_fourier(DenseSubset.full(SpaceDescriptor(5, 2)))
-space = SpaceDescriptor(5, 10)
-bits = np.random.default_rng(0).integers(0, 2, size=space.N, dtype=np.uint8)
-A = DenseSubset(space, bits.view(bool))
-_, reading = measure(lambda: count_3aps_fourier(A))
-print(json.dumps({"N": space.N, **reading}))
-"""
-
-
-def test_count_memory_budget_at_the_cap():
-    """count_3aps_fourier at 5^10 peaks at most 2.5 N*16 bytes above the mask."""
-    out = run_peak_script(_PEAK_SCRIPT)
-    assert peak_bytes(out) <= 2.5 * out["N"] * 16
-
-
-# A fresh interpreter again; the sets' masks exist before the first reading,
-# and the spectral count of the 1000-member set runs after the last.
+# Runs in a fresh interpreter (helpers.PEAK_PRELUDE supplies measure); the
+# sets' masks exist before the first reading, and the spectral count of the
+# 1000-member set runs after the last.
 _SCAN_PEAK_SCRIPT = """
 import numpy as np
 from fpnreg.threeap import count_3aps_fourier, count_3aps_naive, find_nontrivial_3ap
@@ -288,10 +268,17 @@ class TestDensityTest:
 
     def test_only_ap_free_trials_transform(self, monkeypatch):
         # a trial the pair search decides by a hit runs no spectral count;
-        # each AP-free trial runs one as its cross-check
+        # each AP-free trial runs one as its cross-check, and a count builds
+        # its top-digit-0 plane once
         calls = []
-        exact = threeap.full_spectrum
-        monkeypatch.setattr(threeap, "full_spectrum", lambda space, v: calls.append(space) or exact(space, v))
+        exact = threeap._spectrum_plane
+
+        def plane(space, v, t):
+            if t == 0:
+                calls.append(space)
+            return exact(space, v, t)
+
+        monkeypatch.setattr(threeap, "_spectrum_plane", plane)
         density_test(DenseSubset.full(SP32), 1.0, 5, 1)
         assert calls == []
         density_test(CAP4, 1.0, 6, 1)
