@@ -116,6 +116,8 @@ def _tower_field(arg: int, p: int):
 
 def _run_fourier_check(args):
     space = _resolve_space(args)
+    if args.trials < 1:
+        raise InputError("trials must be >= 1")
     rows = []
     agg = {"parseval": 0.0, "plancherel": 0.0, "inversion": 0.0, "convolution": 0.0}
     for trial, gen in enumerate(substreams(args.seed, args.trials)):

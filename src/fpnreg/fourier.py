@@ -22,23 +22,25 @@ only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it stores the first
 negation stored.  full_spectrum, the per-coset scan in regularity and the
 counts built on them read sums and sups from that half.
 
-The real entry is batch-invariant: an input's stored half is the same bits
-whether it is transformed alone or as one column of any batch, so
-restricted_sup equals the scan's sup_values bit for bit.  numpy rounds a
-one-row GEMM (its vector-matrix path) unlike a matrix GEMM, so the real
-entry never runs one: a lone dim-1 input is padded with a zero column.  dft
-and idft transform one input through the complex entry, unpadded.
+Every real input's first pass is _real_head: one real GEMM per chunk of
+_HEAD_ROWS input rows against the wanted columns of W, so a 0/1 mask is
+never copied to float64 whole.  The full-group counts and sups
+(count_3aps_fourier, edge_count_fourier, sigma_certificate,
+fourier_sup_report) do not hold the stored half: _spectrum_plane builds it
+one leading-frequency plane at a time, bit for bit the matching slice of
+full_spectrum, as column t of that first pass followed by the n-1 trailing
+passes of the complex entry, in at most two N/p-entry complex buffers
+(32 N/p bytes).
 
-The full-group counts and sups (count_3aps_fourier, edge_count_fourier,
-sigma_certificate, fourier_sup_report) do not hold the stored half.
-_spectrum_plane builds it one leading-frequency plane at a time, bit for
-bit the matching slice of full_spectrum: plane t is column t of the real
-first pass, one real GEMM per chunk of input rows so a 0/1 mask is never
-copied to float64 whole, then the n-1 trailing passes through the complex
-entry.  A plane has N/p entries and its build holds at most two such
-complex buffers, 32 N/p bytes.  No GEMM of the plane path has one row
-either: a lone input row is padded as the real entry pads it, and at n = 2
-the one trailing pass gets a zero second input.
+No GEMM of a real input has one row, because numpy rounds a one-row GEMM
+(its vector-matrix path) unlike a matrix GEMM.  The rule lives in
+_real_head alone: a last chunk of one row joins the chunk before it, and a
+lone row is padded with a zero column.  So the real entry is
+batch-invariant: an input's stored half has the same bits alone, as one
+column of any batch and in chunks of any size.  At n <= 2 (N <= 169) a
+plane is its slice of full_spectrum, so no plane runs a one-row trailing
+pass.  dft and idft transform one input through the complex entry,
+unpadded.
 """
 
 from __future__ import annotations
@@ -76,6 +78,35 @@ def _root_matrix(p: int) -> np.ndarray:
     return w
 
 
+# Input rows converted to float64 per GEMM of a real first pass: at most
+# 4096 * 13 floats (426 kB) at a time, never an N-sized float copy.
+_HEAD_ROWS = 1 << 12
+
+
+def _real_head(x: np.ndarray, w: np.ndarray, cols: slice) -> np.ndarray:
+    """First pass of a real input over the (p, rows) view x of its leading
+    axis: the (rows, k) complex transform at W's k columns cols.
+
+    One real GEMM per chunk of _HEAD_ROWS rows against cols, each complex
+    column split into a real and an imaginary one, written straight into
+    the float view of the output.  No GEMM has one row: a last chunk of one
+    row joins the chunk before it, and a lone row is padded with a zero
+    column.
+    """
+    p, rows = x.shape
+    wcols = np.ascontiguousarray(w[:, cols]).view(np.float64)
+    out = np.empty((rows, wcols.shape[1] // 2), dtype=complex)
+    dst = out.view(np.float64)
+    if rows == 1:
+        dst[:] = (np.stack([x[:, 0], np.zeros(p)], axis=1).T @ wcols)[:1]
+        return out
+    # no chunk starts at the last row: a chunk that would leave it alone takes it
+    for lo in range(0, rows - 1, _HEAD_ROWS):
+        hi = lo + _HEAD_ROWS if lo + _HEAD_ROWS < rows - 1 else rows
+        np.matmul(np.asarray(x[:, lo:hi], dtype=np.float64).T, wcols, out=dst[lo:hi])
+    return out
+
+
 def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = False) -> np.ndarray:
     """Length-p DFT along the dim leading axes of the (p,)*dim + (B,) tensor x.
 
@@ -89,25 +120,13 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
         return x.astype(complex).reshape(batch, 1)
     w = _root_matrix(p).conj() if inverse else _root_matrix(p)
     rows = x.size // p
-    if real and rows == 1:
-        # a one-row GEMM takes numpy's vector path: pad a zero column, keep row 0
-        return _pass_loop(np.stack([x.reshape(p), np.zeros(p)], axis=1), p, dim, real, inverse)[:1]
     if real:
-        # W's first (p+1)/2 columns with each complex column split into a
-        # real and an imaginary one: a real GEMM writes complex entries into
-        # the float view of the buffer
-        q = (p + 1) // 2
-        first_w = np.ascontiguousarray(w[:, :q]).view(np.float64)
-        src = np.asarray(x, dtype=np.float64)
+        out = _real_head(x.reshape(p, rows), w, slice(0, (p + 1) // 2)).reshape(-1)
     else:
-        q, first_w = p, w
-        src = np.asarray(x, dtype=complex)
-    out = np.empty(rows * q, dtype=complex)
-    dst = out.view(np.float64) if real else out
-    np.matmul(src.reshape(p, rows).T, first_w, out=dst.reshape(rows, -1))
-    # neither x nor a converted copy is needed past the first pass; an input
-    # no caller holds is freed here
-    del x, src
+        out = np.empty(rows * p, dtype=complex)
+        np.matmul(np.asarray(x, dtype=complex).reshape(p, rows).T, w, out=out.reshape(rows, p))
+    # x is not needed past the first pass; an input no caller holds is freed here
+    del x
     spare = np.empty_like(out) if dim > 1 else None
     rows = out.size // p
     for _ in range(1, dim):
@@ -313,49 +332,14 @@ def identity_suite(f: DenseFunction, g: DenseFunction, H: SubspaceBasis) -> Iden
 def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
     """Half of the full-group transform of real values, flat-aligned:
     out[xi] = (1/N) sum_x values[x] e(-<x,xi>/p) for the (p+1)/2 * p**(n-1)
-    frequencies xi < len(out), those whose top digit xi_(n-1) is at most
-    (p-1)/2.  Every other xi has its negation stored, and
-    Ahat(xi) = conj(out[-xi]).  The top-digit-0 plane out[:N/p] is closed
-    under negation; each of the other stored planes stands for itself and
-    its conjugate.
-
-    The call holds the whole half, (p+1)/2 planes of N/p complex entries,
-    and the pass loop's second buffer of the same size, 16 (p+1) N/p bytes:
-    19.2 N at p = 5, 17.2 N at p = 13.  _spectrum_plane returns plane t
-    alone, the same bits, in 32 N/p bytes of working memory."""
+    frequencies xi < len(out), those whose top digit is at most (p-1)/2;
+    every other xi has Ahat(xi) = conj(out[-xi]), and the plane out[:N/p]
+    is closed under negation.  Holds the whole half and the pass loop's
+    second buffer, 16 (p+1) N/p bytes (19.2 N at p = 5); _spectrum_plane
+    returns one plane of it in 32 N/p bytes."""
     out = _pass_loop(values, space.p, space.n, real=True).reshape(-1)
     out /= space.N
     return out
-
-
-# Input rows converted to float64 per GEMM of a plane's first pass: at most
-# 4096 * 13 floats (426 kB) at a time, never an N-sized float copy.
-_PLANE_ROWS = 1 << 12
-
-
-def _plane_head(values, p: int, t: int) -> np.ndarray:
-    """Column t of full_spectrum's first pass over real values: the (N/p,)
-    complex transform of the leading axis at frequency t, unnormalized.
-
-    One real GEMM per chunk of rows against W's column t split into a real
-    and an imaginary column.  No chunk has one row (numpy would take its
-    vector path): a last row of its own joins the chunk before it, and a
-    lone row is padded with a zero column, as the real entry pads it.
-    """
-    src = np.asarray(values).reshape(p, -1)
-    rows = src.shape[1]
-    col = np.ascontiguousarray(_root_matrix(p)[:, t : t + 1]).view(np.float64)
-    head = np.empty(rows, dtype=complex)
-    dst = head.view(np.float64).reshape(rows, 2)
-    starts = list(range(0, rows, _PLANE_ROWS))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        starts.pop()
-    # a lone row keeps the block's second column zero as its pad
-    block = np.zeros((p, max(2, min(rows, _PLANE_ROWS + 1))))
-    for lo, hi in zip(starts, starts[1:] + [rows]):
-        block[:, : hi - lo] = src[:, lo:hi]
-        dst[lo:hi] = (block[:, : max(hi - lo, 2)].T @ col)[: hi - lo]
-    return head
 
 
 def _spectrum_plane(space: SpaceDescriptor, values, t: int) -> np.ndarray:
@@ -363,22 +347,18 @@ def _spectrum_plane(space: SpaceDescriptor, values, t: int) -> np.ndarray:
     t*N/p .. (t+1)*N/p - 1, the frequencies with top digit t, for
     0 <= t <= (p-1)/2.
 
-    The first pass is _plane_head; the n-1 trailing passes are _pass_loop's
-    complex entry over the plane, which frees the head after its first pass.
-    A call holds at most two N/p-entry complex buffers (32 N/p bytes) and
-    returns one.  At n = 2 the one trailing pass would be a one-row GEMM, so
-    the plane is padded with a zero input, as full_spectrum's pass has
-    (p+1)/2 rows there.
+    Column t of the real first pass, then the n-1 trailing passes through
+    _pass_loop's complex entry, which frees the head after its first pass:
+    at most two N/p-entry complex buffers (32 N/p bytes).  At n <= 2 the
+    plane is its slice of full_spectrum, so no one-row trailing pass runs.
     """
     p, n = space.p, space.n
-    if n == 1:
-        plane = _plane_head(values, p, t)
-    elif n == 2:
-        head = _plane_head(values, p, t)
-        plane = _pass_loop(np.stack([head, np.zeros_like(head)], axis=1), p, 1, real=False)[0]
-    else:
-        # no name holds the head, so _pass_loop frees it after its first pass
-        plane = _pass_loop(_plane_head(values, p, t), p, n - 1, real=False)[0]
+    if n <= 2:
+        size = space.N // p
+        return full_spectrum(space, values)[t * size : (t + 1) * size]
+    x = np.asarray(values).reshape(p, -1)
+    # no name holds the head, so _pass_loop frees it after its first pass
+    plane = _pass_loop(_real_head(x, _root_matrix(p), slice(t, t + 1)), p, n - 1, real=False)[0]
     plane /= space.N
     return plane
 

@@ -67,13 +67,12 @@ class VectorClassification:
 
 
 def restricted_sup(A: DenseSubset, H: SubspaceBasis, v: int) -> float:
-    """sup over xi outside H^perp of |fhat(xi)| for the localization A_H^v."""
+    """sup over xi outside H^perp of |fhat(xi)| for A_H^v: the scan's sup_values at v's coset."""
     space = same_space(A, H)
     vec = A.mask[H._localization(_check_index(space, v))]
     if H.size == 1:
         return 0.0
-    spec = _pass_loop(vec, H.space.p, H.dim, real=True)[0]
-    return float(np.abs(spec[1:]).max()) / H.size
+    return float(_sups_and_witnesses(H, vec, np.array([np.inf]))[0][0])
 
 
 def _witnesses(H: SubspaceBasis, eta: np.ndarray) -> np.ndarray:

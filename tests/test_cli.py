@@ -161,10 +161,11 @@ class TestErrors:
               "--alpha", "1", "--sigma", "2", "--delta", "0.5"], "sigma must lie in (0, 1)"),
             (["regularize", "--p", "3", "--n", "2", "--members", "0,1,2", "--eps", "0.5",
               "--alpha", "1", "--sigma", "0.5", "--delta", "1"], "delta must lie in (0, 1)"),
+            (["fourier-check", "--p", "3", "--n", "2", "--trials", "-3", "--seed", "1"], "trials must be >= 1"),
         ],
         ids=["tail-bound-exp-overflow", "regularize-multi-tiny-alpha", "flower-find-tiny-alpha",
              "regularize-inf-cap", "sigma-nan", "delta-inf", "lam-nan", "sigma-delta-1e308",
-             "sigma-2-vacuous-claim", "delta-1"],
+             "sigma-2-vacuous-claim", "delta-1", "fourier-check-negative-trials"],
     )
     def test_out_of_range_floats_exit_2(self, capsys, argv, message):
         try:

@@ -131,24 +131,32 @@ class TestPassLoop:
         got = _pass_loop(mask, 5, 3, real=True)
         assert np.abs(got - self.reference(mask.astype(float), 3)[:, :75]).max() < 1e-9
 
+    # chunks of 2 and 4 rows leave a last chunk of one row in the batches of five
+    @pytest.mark.parametrize("chunk", [None, 2, 4])
     @pytest.mark.parametrize("p", [7, 11, 13])
-    def test_real_entry_is_batch_invariant(self, p):
+    def test_real_entry_is_batch_invariant(self, p, chunk, monkeypatch):
         # every 0/1 vector of length p gives the same bits alone (a one-row
-        # first pass), as a (p, 1) column, in pairs and in the batch of all 2**p
+        # first pass), as a (p, 1) column, in pairs, in fives and in the batch
+        # of all 2**p, whatever the head's chunk size; the references are
+        # computed with the default chunks
         vecs = (np.arange(2**p)[:, None] >> np.arange(p) & 1).astype(bool)
-        batch = _pass_loop(vecs.T, p, 1, real=True)
+        want = _pass_loop(vecs.T, p, 1, real=True)
+        cols = np.random.default_rng(p).random((p * p, 40)) < 0.5
+        want_cols = _pass_loop(cols, p, 2, real=True)
+        if chunk is not None:
+            monkeypatch.setattr(fourier, "_HEAD_ROWS", chunk)
         for got in (
+            _pass_loop(vecs.T, p, 1, real=True),
             np.concatenate([_pass_loop(v, p, 1, real=True) for v in vecs]),
             np.concatenate([_pass_loop(v[:, None], p, 1, real=True) for v in vecs]),
             np.concatenate([_pass_loop(vecs[a : a + 2].T, p, 1, real=True) for a in range(0, 2**p, 2)]),
+            np.concatenate([_pass_loop(vecs[a : a + 5].T, p, 1, real=True) for a in range(0, 2**p, 5)]),
         ):
-            assert np.array_equal(got, batch)
+            assert np.array_equal(got, want)
         # at dim 2 a lone column already makes a p-row first pass
-        cols = np.random.default_rng(p).random((p * p, 40)) < 0.5
-        batch = _pass_loop(cols, p, 2, real=True)
-        for width in (1, 3):
+        for width in (1, 3, 40):
             got = np.concatenate([_pass_loop(cols[:, a : a + width], p, 2, real=True) for a in range(0, 40, width)])
-            assert np.array_equal(got, batch)
+            assert np.array_equal(got, want_cols)
 
     def test_no_aliasing_across_calls(self):
         gen = np.random.default_rng(8)
@@ -181,24 +189,27 @@ class TestSpectrumPlanes:
     """The plane path (one leading-frequency plane of the stored half at a
     time) against full_spectrum, bit for bit."""
 
-    # chunks of 2 and 4 rows leave a last row of its own at odd plane sizes
+    # chunks of 2 and 4 rows leave a last row of its own at odd plane sizes;
+    # the full_spectrum references are computed with the default chunks
     @pytest.mark.parametrize("chunk", [None, 2, 4])
     @pytest.mark.parametrize("p", PRIMES)
     def test_planes_are_full_spectrum_slices(self, p, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(fourier, "_PLANE_ROWS", chunk)
         gen = np.random.default_rng(p)
+        cases = []
         for n in range(1, ORACLE_MAX_N[p] + 1):
             space = SpaceDescriptor(p, n)
-            size = space.N // p
             for density in (0.0, 0.3, 1.0):
                 mask = gen.random(space.N) < density
-                full = full_spectrum(space, mask)
-                for t in range((p + 1) // 2):
-                    plane = fourier._spectrum_plane(space, mask, t)
-                    assert plane.tobytes() == full[t * size : (t + 1) * size].tobytes(), (n, density, t)
-                sup = sigma_certificate(DenseSubset(space, mask), 0.5, 0.5).fourier_sup
-                assert sup.hex() == float(np.abs(full[1:]).max()).hex(), (n, density)
+                cases.append((space, density, mask, full_spectrum(space, mask)))
+        if chunk is not None:
+            monkeypatch.setattr(fourier, "_HEAD_ROWS", chunk)
+        for space, density, mask, full in cases:
+            size = space.N // p
+            for t in range((p + 1) // 2):
+                plane = fourier._spectrum_plane(space, mask, t)
+                assert plane.tobytes() == full[t * size : (t + 1) * size].tobytes(), (space.n, density, t)
+            sup = sigma_certificate(DenseSubset(space, mask), 0.5, 0.5).fourier_sup
+            assert sup.hex() == float(np.abs(full[1:]).max()).hex(), (space.n, density)
 
 
 class TestSpectrum:
