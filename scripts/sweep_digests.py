@@ -25,8 +25,7 @@ comes from a local worktree:
 
 A parent without this script runs this checkout's copy with
 PYTHONPATH=../fpnreg-parent/src.  --compare prints the first mismatch and
-the mismatch count, and exits 1 when there is one.  --tiny runs the small
-grid the test suite uses.
+the mismatch count, and exits 1 when there is one.
 """
 
 import argparse
@@ -47,6 +46,7 @@ FULL = {
     "whole_space": [(3, 12), (5, 8), (7, 6), (13, 5)],
     "densities": (0.0, 0.05, 0.3, 0.5, 0.9, 1.0),
 }
+# The small grid the test suite sweeps in-process.
 TINY = {
     "full_group": {3: 3, 5: 2},
     "scan": {3: 3, 5: 2},
@@ -81,6 +81,16 @@ def _rounded(module, call, *args) -> tuple:
         return call(*args), np.array(totals, dtype=np.float64)
     finally:
         module.rounded_count = exact
+
+
+def _count_3aps(A: DenseSubset) -> tuple:
+    """count_3aps_fourier and its one rounded total; raises RuntimeError when
+    the hook sees no total, so a count that stops rounding through
+    threeap.rounded_count cannot leave two empty digests that agree."""
+    count, totals = _rounded(threeap, threeap.count_3aps_fourier, A)
+    if totals.shape != (1,):
+        raise RuntimeError(f"count_3aps_fourier rounded {totals.size} totals through threeap.rounded_count, not 1")
+    return count, totals
 
 
 def _certificate(A: DenseSubset) -> tuple:
@@ -150,7 +160,7 @@ def cases(grid: dict):
                 yield f"full_spectrum {tag}", partial(fourier.full_spectrum, space, A.mask)
                 for t in range((p + 1) // 2):
                     yield f"plane t={t} {tag}", partial(fourier._spectrum_plane, space, A.mask, t)
-                yield f"count_3aps_fourier {tag}", partial(_rounded, threeap, threeap.count_3aps_fourier, A)
+                yield f"count_3aps_fourier {tag}", partial(_count_3aps, A)
                 yield f"edge_count {tag}", partial(_rounded, cayley, cayley.edge_count, A, X, Y)
                 yield f"edge_count_fourier {tag}", partial(cayley.edge_count_fourier, A, X, Y)
                 yield f"sigma_certificate {tag}", partial(_certificate, A)
@@ -194,10 +204,9 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", help="write {case: digest} as JSON to this file")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two digest files")
-    ap.add_argument("--tiny", action="store_true", help="the small grid of the test suite")
     args = ap.parse_args(argv)
     if args.out:
-        digests = sweep(TINY if args.tiny else FULL)
+        digests = sweep(FULL)
         with open(args.out, "w") as fh:
             json.dump({"numpy": np.__version__, "cases": len(digests), "digests": digests}, fh, indent=1)
         print(f"{len(digests)} cases -> {args.out}")
