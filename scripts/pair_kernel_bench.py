@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the pair kernel, layer by layer, at the block shapes its callers use.
 
-    PYTHONPATH=src python scripts/pair_kernel_bench.py [--repeats 7] [--out FILE] [--tiny]
+    PYTHONPATH=src python scripts/pair_kernel_bench.py [--repeats 7] [--out FILE]
 
 For each case (p, m, nx x ny) it times the encoder `_pair_codes` on the ny
 side, `_pair_sum` on the encoded sides, and their composition `_pair_index`,
@@ -18,8 +18,7 @@ all with both multipliers inv2 (the midpoint search).  The cases:
 
 Each timing is per call: timeit picks the calls per repeat, and the median,
 min and max are over the repeats.  One JSON record goes to stdout (or to
---out) with the numpy and BLAS versions and the thread variables.  --tiny
-runs small cases with few calls, as a smoke test of the record.
+--out) with the numpy and BLAS versions and the thread variables.
 """
 
 import os
@@ -39,8 +38,13 @@ import numpy as np
 
 from fpnreg.vectorspace import _pair_codes, _pair_index, _pair_sum
 
-CASES = ((5, 5, 1, 64), (3, 6, 4, 4), (3, 6, 800, 73), (5, 5, 16, 839), (3, 8, 81, 81), (3, 8, 1215, 1215))
-TINY_CASES = ((3, 0, 1, 2), (3, 2, 2, 3), (5, 1, 4, 4))
+# The cases and the calls per repeat (None: timeit picks).
+FULL = {
+    "cases": ((5, 5, 1, 64), (3, 6, 4, 4), (3, 6, 800, 73), (5, 5, 16, 839), (3, 8, 81, 81), (3, 8, 1215, 1215)),
+    "calls": None,
+}
+# Small cases with few calls, which the test suite runs as a smoke test of the record.
+TINY = {"cases": ((3, 0, 1, 2), (3, 2, 2, 3), (5, 1, 4, 4)), "calls": 10}
 
 
 def time_call(call, repeats: int, number: int | None) -> dict:
@@ -78,9 +82,7 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", help="write the record here instead of stdout")
-    ap.add_argument("--tiny", action="store_true", help="small cases, 10 calls per repeat")
     args = ap.parse_args(argv)
-    cases, number = (TINY_CASES, 10) if args.tiny else (CASES, None)
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     record = {
         "python": platform.python_version(),
@@ -88,7 +90,7 @@ def main(argv=None) -> None:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "repeats": args.repeats,
-        "results": run(cases, args.repeats, number),
+        "results": run(FULL["cases"], args.repeats, FULL["calls"]),
     }
     text = json.dumps(record, indent=1)
     if args.out:

@@ -2,9 +2,16 @@
 """Byte-identity sweep: sha256 digests of fpnreg's outputs over a fixed,
 seeded grid, so two checkouts can be compared bit for bit.
 
-A digest covers the dtype, shape and raw bytes of every array an output
-holds (a number is a 0-d array; an InputError or ContractError is digested
-as its type and message).  The outputs:
+Each output gets two digests, each over the dtype, shape and raw bytes of
+its arrays (a number is a 0-d array; an InputError or ContractError is
+digested as its type and message):
+- exact: the integer and boolean arrays and any error, that is the counts,
+  the passed flags, classify_vectors' reps, counts, regular and
+  witness_freqs, and dft's frequencies;
+- float: the float and complex arrays, that is spectra, sups, float totals
+  and thresholds.
+A change that moves floats by design then still shows whether its counts,
+flags and classifications held.  The outputs:
 - full_spectrum and every _spectrum_plane, p in {3, 5, 7, 11, 13} with n up
   to 12/8/7/5/5, densities 0 to 1;
 - count_3aps_fourier and edge_count, each with the float total it rounds,
@@ -15,17 +22,16 @@ as its type and message).  The outputs:
   coset-union and sparse sets, plus H = V at 3^12, 5^8, 7^6 and 13^5.
 
 Run the script once per checkout and compare the two files.  The parent
-comes from a local worktree:
+comes from a clone of this repository:
 
-    git worktree add ../fpnreg-parent HEAD~1
-    (cd ../fpnreg-parent && PYTHONPATH=src python scripts/sweep_digests.py --out ../parent.json)
+    git clone -q . ../fpnreg-parent && git -C ../fpnreg-parent checkout -q HEAD~1
+    PYTHONPATH=../fpnreg-parent/src python scripts/sweep_digests.py --out ../parent.json
     PYTHONPATH=src python scripts/sweep_digests.py --out ../change.json
     PYTHONPATH=src python scripts/sweep_digests.py --compare ../parent.json ../change.json
-    git worktree remove ../fpnreg-parent
 
-A parent without this script runs this checkout's copy with
-PYTHONPATH=../fpnreg-parent/src.  --compare prints the first mismatch and
-the mismatch count, and exits 1 when there is one.
+Both runs use this checkout's copy of the script, so both files hold the
+same split.  --compare prints the exact and the float mismatch counts with
+the first case of each, and exits 1 when an exact digest differs.
 """
 
 import argparse
@@ -64,6 +70,17 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
+def split_digests(parts) -> dict:
+    """{"exact": digest of the non-float parts, "float": digest of the
+    float and complex parts}, each in order."""
+    arrays = [np.asarray(part) for part in parts]
+    inexact = [a.dtype.kind in "fc" for a in arrays]
+    return {
+        "exact": digest(*(a for a, f in zip(arrays, inexact) if not f)),
+        "float": digest(*(a for a, f in zip(arrays, inexact) if f)),
+    }
+
+
 def _outcome(call) -> tuple:
     """call()'s arrays, or an InputError's or ContractError's type and message."""
     try:
@@ -90,6 +107,22 @@ def _count_3aps(A: DenseSubset) -> tuple:
     count, totals = _rounded(threeap, threeap.count_3aps_fourier, A)
     if totals.shape != (1,):
         raise RuntimeError(f"count_3aps_fourier rounded {totals.size} totals through threeap.rounded_count, not 1")
+    return count, totals
+
+
+def _edge_count(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> tuple:
+    """edge_count and the totals it rounds: one when it took the spectral
+    branch (it called edge_count_fourier), none on the direct branch; raises
+    RuntimeError otherwise, so a lost cayley.rounded_count hook cannot leave
+    two empty digests that agree."""
+    calls, spectral = [], cayley.edge_count_fourier
+    cayley.edge_count_fourier = lambda *sets: calls.append(1) or spectral(*sets)
+    try:
+        count, totals = _rounded(cayley, cayley.edge_count, A, X, Y)
+    finally:
+        cayley.edge_count_fourier = spectral
+    if totals.size != len(calls):
+        raise RuntimeError(f"edge_count rounded {totals.size} totals through cayley.rounded_count over {len(calls)} spectral calls")
     return count, totals
 
 
@@ -161,7 +194,7 @@ def cases(grid: dict):
                 for t in range((p + 1) // 2):
                     yield f"plane t={t} {tag}", partial(fourier._spectrum_plane, space, A.mask, t)
                 yield f"count_3aps_fourier {tag}", partial(_count_3aps, A)
-                yield f"edge_count {tag}", partial(_rounded, cayley, cayley.edge_count, A, X, Y)
+                yield f"edge_count {tag}", partial(_edge_count, A, X, Y)
                 yield f"edge_count_fourier {tag}", partial(cayley.edge_count_fourier, A, X, Y)
                 yield f"sigma_certificate {tag}", partial(_certificate, A)
                 yield f"fourier_sup_report {tag}", partial(_sup_report, A)
@@ -188,15 +221,17 @@ def cases(grid: dict):
 
 
 def sweep(grid: dict) -> dict:
-    """{case name: digest} over the grid, in case order."""
-    return {name: digest(*_outcome(call)) for name, call in cases(grid)}
+    """{case name: split_digests of its outcome} over the grid, in case order."""
+    return {name: split_digests(_outcome(call)) for name, call in cases(grid)}
 
 
-def compare(a: dict, b: dict):
-    """(first mismatching case name or None, number of mismatches); a case
-    present on one side only is a mismatch."""
-    bad = [k for k in a if a[k] != b.get(k)] + [k for k in b if k not in a]
-    return (bad[0] if bad else None), len(bad)
+def compare(a: dict, b: dict) -> dict:
+    """{"exact": [...], "float": [...]}: the cases whose exact (float)
+    digests differ, in order; a case present on one side only is an exact
+    mismatch."""
+    bad = {kind: [k for k in a if k in b and a[k][kind] != b[k][kind]] for kind in ("exact", "float")}
+    bad["exact"] += sorted(a.keys() ^ b.keys())
+    return bad
 
 
 def main(argv=None) -> int:
@@ -212,9 +247,11 @@ def main(argv=None) -> int:
         print(f"{len(digests)} cases -> {args.out}")
         return 0
     a, b = (json.load(open(path))["digests"] for path in args.compare)
-    first, count = compare(a, b)
-    print(f"{count} mismatches over {len(a.keys() | b.keys())} cases" + (f"; first: {first}" if first else ""))
-    return 1 if count else 0
+    bad = compare(a, b)
+    print(f"{len(a.keys() | b.keys())} cases")
+    for kind, names in bad.items():
+        print(f"{len(names)} {kind} mismatches" + (f"; first: {names[0]}" if names else ""))
+    return 1 if bad["exact"] else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 # full_spectrum is not called here; it stays bound for bench/tracing.py, which wraps every binding
-from .fourier import _nontrivial_sup, _spectrum_plane, full_spectrum, rounded_count
+from .fourier import _nontrivial_sup, _Planes, full_spectrum, rounded_count
 from .regularity import restricted_sup
 from .rng import sample_without_replacement, substreams
 from .vectorspace import (
@@ -82,18 +82,19 @@ def edge_count_fourier(A: DenseSubset, X: DenseSubset, Y: DenseSubset) -> float:
     the direct count up to round-off.  All three sets are real, so the term
     of -xi is the conjugate of the term of xi: the sum is the top-digit-0
     plane of the stored halves plus 2 Re of the rest.  The sum runs one
-    stored plane at a time and holds one plane of products while the next
-    transform runs: about three N/p-entry complex buffers (48 N/p bytes;
-    budget 16 N bytes at 5^10 and 13^6)."""
+    stored plane at a time in one plan of three N/p-entry complex slots:
+    the plane of products, the next transform's plane and its spare
+    (48 N/p bytes, plus 6 N/p bytes of row codes; budget 16 N bytes at 5^10
+    and 13^6)."""
     space = same_space(A, X, Y)
+    work = _Planes(space, [Y.mask, A.mask, X.mask], 3)
     total = 0.0
     for t in range((space.p + 1) // 2):
-        terms = _spectrum_plane(space, Y.mask, t)
+        terms = work.plane(0, t, 0, 2)
         np.conjugate(terms, out=terms)
-        terms *= _spectrum_plane(space, A.mask, t)
-        terms *= _spectrum_plane(space, X.mask, t)
+        terms *= work.plane(1, t, 1, 2)
+        terms *= work.plane(2, t, 1, 2)
         total += (1 if t == 0 else 2) * terms.sum().real
-        del terms  # not held while the next plane's transforms run
     return float(total) * space.N**2
 
 
@@ -131,8 +132,10 @@ class RegularityCertificate:
 
 def sigma_certificate(R: DenseSubset, sigma: float, delta: float) -> RegularityCertificate:
     """The certificate of R's Fourier sup over nontrivial frequencies, read
-    one stored plane of the half spectrum at a time: about two N/p-entry
-    complex buffers (32 N/p bytes; budget 12 N bytes at 5^10 and 13^6)."""
+    one stored plane of the half spectrum at a time in one plan of two
+    N/p-entry complex slots, the plane and its spare, whose float view then
+    holds the magnitudes (32 N/p bytes, plus 2 N/p bytes of row codes;
+    budget 12 N bytes at 5^10 and 13^6)."""
     if not 0 < sigma < 1 or not 0 < delta < 1:
         raise InputError("sigma and delta must lie in (0, 1)")
     space = R.space

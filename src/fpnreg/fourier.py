@@ -12,7 +12,12 @@ src.reshape(p, M).T @ W written into a (M, p) buffer: it transforms the
 leading axis and rotates it to the end.  After dim passes the frequency
 axes are back in order behind the batch axis, so the result is (B, p**dim)
 with no transpose copy, O(|H| dim p) per input.  The passes alternate
-between two buffers the call allocates.
+between two buffers the call allocates.  The first pass is single; the
+dim-1 trailing passes follow a schedule cached per p and pass count
+(_pass_schedule): at p = 3 with at least 3 of them, two digits per GEMM
+against W (x) W, src.reshape(9, M/3).T @ (W (x) W), and one digit per GEMM
+otherwise.  W, W (x) W and the real first pass's columns of W are cached
+per p.
 
 The loop has two entries.  The complex entry (dft, idft, Spectrum) keeps
 full spectra.  The real entry serves indicator functions, whose spectra
@@ -22,25 +27,31 @@ only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it stores the first
 negation stored.  full_spectrum, the per-coset scan in regularity and the
 counts built on them read sums and sups from that half.
 
-Every real input's first pass is _real_head: one real GEMM per chunk of
-_HEAD_ROWS input rows against the wanted columns of W, so a 0/1 mask is
+Every real input's GEMM first pass is _real_head: one real GEMM per chunk
+of _HEAD_ROWS input rows against the split columns of W, so a 0/1 mask is
 never copied to float64 whole.  The full-group counts and sups
 (count_3aps_fourier, edge_count_fourier, sigma_certificate,
-fourier_sup_report) do not hold the stored half: _spectrum_plane builds it
+fourier_sup_report) do not hold the stored half: a plan (_Planes) builds it
 one leading-frequency plane at a time, bit for bit the matching slice of
-full_spectrum, as column t of that first pass followed by the n-1 trailing
-passes of the complex entry, in at most two N/p-entry complex buffers
-(32 N/p bytes).
+full_spectrum.  Row r of a 0/1 mask's first pass depends only on the p
+bits of that row, so the plan packs each row into a uint16 code once per
+call (2 N/p bytes) and reads plane t's head from row t of a table cached
+per p (_head_table, which _real_head builds over all 2**p bit patterns).
+The n-1 trailing passes then follow the schedule.  Every plane of a call is
+built in one workspace of N/p-entry complex slots that the call allocates
+once: two for the sups, three for the edge count, five for the 3AP count.
 
 No GEMM of a real input has one row, because numpy rounds a one-row GEMM
 (its vector-matrix path) unlike a matrix GEMM.  The rule lives in
 _real_head alone: a last chunk of one row joins the chunk before it, and a
 lone row is padded with a zero column.  So the real entry is
 batch-invariant: an input's stored half has the same bits alone, as one
-column of any batch and in chunks of any size.  At n <= 2 (N <= 169) a
-plane is its slice of full_spectrum, so no plane runs a one-row trailing
-pass.  dft and idft transform one input through the complex entry,
-unpadded.
+column of any batch and in chunks of any size.  The schedule depends on p
+and the pass count alone, never on the buffer size, and no paired GEMM has
+fewer than 3 rows, so a plane and full_spectrum run the same GEMMs.  At
+n <= 2 (N <= 169) a plane is its slice of full_spectrum, so no plane runs a
+one-row trailing pass.  dft and idft transform one input through the
+complex entry, unpadded.
 """
 
 from __future__ import annotations
@@ -69,13 +80,43 @@ ROUNDING_MARGIN = 0.25
 
 
 @lru_cache(maxsize=None)
-def _root_matrix(p: int) -> np.ndarray:
-    """W[a, b] = exp(-2 pi i a b / p), from one high-accuracy primitive root.
-    W is symmetric, so it is its own transpose in the passes."""
-    k = np.arange(p)
-    w = np.exp(-2j * np.pi * (np.outer(k, k) % p) / p)
+def _root_matrix(p: int, inverse: bool = False) -> np.ndarray:
+    """W[a, b] = exp(-2 pi i a b / p), from one high-accuracy primitive root,
+    or its conjugate when inverse.  W is symmetric, so it is its own
+    transpose in the passes."""
+    if inverse:
+        w = _root_matrix(p).conj()
+    else:
+        k = np.arange(p)
+        w = np.exp(-2j * np.pi * (np.outer(k, k) % p) / p)
     w.flags.writeable = False
     return w
+
+
+@lru_cache(maxsize=None)
+def _head_columns(p: int, inverse: bool) -> np.ndarray:
+    """The real first pass's block: the (p+1)/2 leading columns of W (of its
+    conjugate when inverse), each split into a real and an imaginary float64
+    column, (p, p+1)."""
+    block = np.ascontiguousarray(_root_matrix(p, inverse)[:, : (p + 1) // 2]).view(np.float64)
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=None)
+def _pass_schedule(p: int, passes: int, inverse: bool) -> tuple:
+    """The W block of each GEMM of `passes` trailing passes.  At p = 3 with
+    at least 3 passes, two digits per GEMM against W (x) W, then one single
+    pass when passes is odd, so no paired GEMM has fewer than 3 rows; else
+    one digit per GEMM against W.  The schedule depends on p and passes
+    alone, never on the buffer size, so a plane and full_spectrum run the
+    same GEMMs."""
+    w = _root_matrix(p, inverse)
+    if p != 3 or passes < 3:
+        return (w,) * passes
+    ww = np.kron(w, w)
+    ww.flags.writeable = False
+    return (ww,) * (passes // 2) + (w,) * (passes % 2)
 
 
 # Input rows converted to float64 per GEMM of a real first pass: at most
@@ -83,28 +124,39 @@ def _root_matrix(p: int) -> np.ndarray:
 _HEAD_ROWS = 1 << 12
 
 
-def _real_head(x: np.ndarray, w: np.ndarray, cols: slice) -> np.ndarray:
+def _real_head(x: np.ndarray, block: np.ndarray) -> np.ndarray:
     """First pass of a real input over the (p, rows) view x of its leading
-    axis: the (rows, k) complex transform at W's k columns cols.
+    axis: the (rows, k) complex transform against the k split columns of
+    block (from _head_columns).
 
-    One real GEMM per chunk of _HEAD_ROWS rows against cols, each complex
-    column split into a real and an imaginary one, written straight into
-    the float view of the output.  No GEMM has one row: a last chunk of one
-    row joins the chunk before it, and a lone row is padded with a zero
-    column.
+    One real GEMM per chunk of _HEAD_ROWS rows, written straight into the
+    float view of the output.  No GEMM has one row: a last chunk of one row
+    joins the chunk before it, and a lone row is padded with a zero column.
     """
     p, rows = x.shape
-    wcols = np.ascontiguousarray(w[:, cols]).view(np.float64)
-    out = np.empty((rows, wcols.shape[1] // 2), dtype=complex)
+    out = np.empty((rows, block.shape[1] // 2), dtype=complex)
     dst = out.view(np.float64)
     if rows == 1:
-        dst[:] = (np.stack([x[:, 0], np.zeros(p)], axis=1).T @ wcols)[:1]
+        dst[:] = (np.stack([x[:, 0], np.zeros(p)], axis=1).T @ block)[:1]
         return out
     # no chunk starts at the last row: a chunk that would leave it alone takes it
     for lo in range(0, rows - 1, _HEAD_ROWS):
         hi = lo + _HEAD_ROWS if lo + _HEAD_ROWS < rows - 1 else rows
-        np.matmul(np.asarray(x[:, lo:hi], dtype=np.float64).T, wcols, out=dst[lo:hi])
+        np.matmul(np.asarray(x[:, lo:hi], dtype=np.float64).T, block, out=dst[lo:hi])
     return out
+
+
+def _trailing_passes(buf: np.ndarray, spare: np.ndarray, blocks: tuple) -> np.ndarray:
+    """One GEMM per W block of blocks over the C-order tensor in buf, each
+    transforming its leading one or two digits and rotating them to the end,
+    alternating between buf and the same-sized spare.  Returns the buffer
+    holding the result: buf after an even number of blocks, else spare."""
+    for w in blocks:
+        k = len(w)
+        rows = buf.size // k
+        np.matmul(buf.reshape(k, rows).T, w, out=spare.reshape(rows, k))
+        buf, spare = spare, buf
+    return buf
 
 
 def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = False) -> np.ndarray:
@@ -118,20 +170,16 @@ def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = Fals
     batch = x.size // p**dim
     if dim == 0:
         return x.astype(complex).reshape(batch, 1)
-    w = _root_matrix(p).conj() if inverse else _root_matrix(p)
     rows = x.size // p
     if real:
-        out = _real_head(x.reshape(p, rows), w, slice(0, (p + 1) // 2)).reshape(-1)
+        out = _real_head(x.reshape(p, rows), _head_columns(p, inverse)).reshape(-1)
     else:
         out = np.empty(rows * p, dtype=complex)
-        np.matmul(np.asarray(x, dtype=complex).reshape(p, rows).T, w, out=out.reshape(rows, p))
+        np.matmul(np.asarray(x, dtype=complex).reshape(p, rows).T, _root_matrix(p, inverse), out=out.reshape(rows, p))
     # x is not needed past the first pass; an input no caller holds is freed here
     del x
-    spare = np.empty_like(out) if dim > 1 else None
-    rows = out.size // p
-    for _ in range(1, dim):
-        np.matmul(out.reshape(p, rows).T, w, out=spare.reshape(rows, p))
-        out, spare = spare, out
+    if dim > 1:
+        out = _trailing_passes(out, np.empty_like(out), _pass_schedule(p, dim - 1, inverse))
     return out.reshape(batch, -1)
 
 
@@ -342,36 +390,95 @@ def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
     return out
 
 
-def _spectrum_plane(space: SpaceDescriptor, values, t: int) -> np.ndarray:
-    """Plane t of full_spectrum(space, values), bit for bit: its N/p entries
-    t*N/p .. (t+1)*N/p - 1, the frequencies with top digit t, for
-    0 <= t <= (p-1)/2.
-
-    Column t of the real first pass, then the n-1 trailing passes through
-    _pass_loop's complex entry, which frees the head after its first pass:
-    at most two N/p-entry complex buffers (32 N/p bytes).  At n <= 2 the
-    plane is its slice of full_spectrum, so no one-row trailing pass runs.
-    """
-    p, n = space.p, space.n
-    if n <= 2:
-        size = space.N // p
-        return full_spectrum(space, values)[t * size : (t + 1) * size]
-    x = np.asarray(values).reshape(p, -1)
-    # no name holds the head, so _pass_loop frees it after its first pass
-    plane = _pass_loop(_real_head(x, _root_matrix(p), slice(t, t + 1)), p, n - 1, real=False)[0]
-    plane /= space.N
-    return plane
+@lru_cache(maxsize=None)
+def _head_table(p: int) -> np.ndarray:
+    """T[t, c]: column t of the real first pass of a row whose p bits spell
+    c (bit i from the row's entry i), for every c < 2**p; (p+1)/2 x 2**p
+    complex, 917 kB at p = 13.  _real_head builds it from the (p, 2**p) bit
+    patterns, so its entries are the bits _real_head gives any 0/1 row."""
+    bits = np.arange(2**p) >> np.arange(p)[:, None] & 1
+    table = np.ascontiguousarray(_real_head(bits, _head_columns(p, False)).T)
+    table.flags.writeable = False
+    return table
 
 
-def _nontrivial_sup(space: SpaceDescriptor, values) -> float:
-    """max over xi != 0 of |fhat(xi)| for real values, one stored plane at a
-    time: |fhat(-xi)| = |fhat(xi)|, so the stored half holds the sup.  Equals
-    np.abs(full_spectrum(space, values)[1:]).max() bit for bit."""
-    sups = (
-        np.abs(_spectrum_plane(space, values, t)[1 if t == 0 else 0 :]).max(initial=0.0)
-        for t in range((space.p + 1) // 2)
-    )
-    return float(max(sups))
+# Row codes per np.take of a plane's head: a 512 kB intp copy at a time.
+_TAKE_ROWS = 1 << 16
+
+
+def _row_codes(p: int, mask) -> np.ndarray:
+    """The head table's column of every row of the (p, N/p) view of a 0/1
+    mask: 2 N/p bytes of uint16 codes, packed in place."""
+    x = np.asarray(mask, dtype=bool).reshape(p, -1)
+    codes = np.zeros(x.shape[1], dtype=np.uint16)
+    for row in x[::-1]:
+        codes <<= 1
+        codes |= row
+    return codes
+
+
+class _Planes:
+    """The plan of one full-group call over 0/1 masks: each mask's row codes
+    and one workspace of `slots` N/p-entry complex buffers (16 N/p bytes
+    each) that every plane of the call is built in.  Nothing outlives the
+    plan, so a call's peak stays its slots and codes."""
+
+    def __init__(self, space: SpaceDescriptor, masks, slots: int):
+        self.space = space
+        # at n <= 2 a plane is its slice of full_spectrum, which reads the mask
+        self.rows = [m if space.n <= 2 else _row_codes(space.p, m) for m in masks]
+        self.slots = np.empty((slots, space.N // space.p), dtype=complex)
+
+    def plane(self, k: int, t: int, into: int, spare: int) -> np.ndarray:
+        """Plane t of full_spectrum(space, masks[k]), bit for bit, built in
+        slot `into` with slot `spare` as the pass loop's second buffer; returns
+        slot `into`.
+
+        The head is row t of _head_table read at the mask's row codes; the
+        n-1 trailing passes follow _pass_schedule, and the head goes to the
+        slot their count's parity leaves the plane in.  At n <= 2 the plane
+        is copied from its slice of full_spectrum, so no one-row trailing
+        pass runs.
+        """
+        space, out = self.space, self.slots[into]
+        p, size = space.p, len(out)
+        if space.n <= 2:
+            out[:] = full_spectrum(space, self.rows[k])[t * size : (t + 1) * size]
+            return out
+        blocks = _pass_schedule(p, space.n - 1, False)
+        head, other = (out, self.slots[spare]) if len(blocks) % 2 == 0 else (self.slots[spare], out)
+        table, codes = _head_table(p)[t], self.rows[k]
+        # np.take copies its indices to intp, so it reads _TAKE_ROWS codes at a
+        # time; they are in range by construction, and mode="raise" would
+        # buffer the whole output
+        for lo in range(0, size, _TAKE_ROWS):
+            np.take(table, codes[lo : lo + _TAKE_ROWS], out=head[lo : lo + _TAKE_ROWS], mode="clip")
+        _trailing_passes(head, other, blocks)
+        out /= space.N
+        return out
+
+
+def _spectrum_plane(space: SpaceDescriptor, mask, t: int) -> np.ndarray:
+    """Plane t of full_spectrum(space, mask) for a 0/1 mask, bit for bit: its
+    N/p entries t*N/p .. (t+1)*N/p - 1, the frequencies with top digit t,
+    for 0 <= t <= (p-1)/2.  One plan of two slots (32 N/p bytes)."""
+    return _Planes(space, [mask], 2).plane(0, t, 0, 1)
+
+
+def _nontrivial_sup(space: SpaceDescriptor, mask) -> float:
+    """max over xi != 0 of |fhat(xi)| for a 0/1 mask, one stored plane at a
+    time: |fhat(-xi)| = |fhat(xi)|, so the stored half holds the sup.  Two
+    slots; the magnitudes go to the float view of the spare.  Equals
+    np.abs(full_spectrum(space, mask)[1:]).max() bit for bit."""
+    work = _Planes(space, [mask], 2)
+    size = space.N // space.p
+    mags = work.slots[1].view(np.float64)[:size]
+    sup = 0.0
+    for t in range((space.p + 1) // 2):
+        lo = 1 if t == 0 else 0
+        np.abs(work.plane(0, t, 0, 1)[lo:], out=mags[lo:])
+        sup = max(sup, mags[lo:].max(initial=0.0))
+    return float(sup)
 
 
 def rounded_count(total: float, what: str) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 # full_spectrum is not called here; it stays bound for bench/tracing.py, which wraps every binding
-from .fourier import _spectrum_plane, full_spectrum, rounded_count
+from .fourier import _Planes, full_spectrum, rounded_count
 from .regularity import RegularityReport, VectorClassification, classify_vectors, regularize_multi
 from .rng import substreams
 from .vectorspace import (
@@ -82,30 +82,41 @@ def count_3aps_fourier(A: DenseSubset) -> int:
     stored half plus 2 Re of its other planes.  Plane t pairs with plane
     2t mod p for Ahat(2xi), read as the conj of the stored plane p - 2t when
     2t mod p is not stored.  The planes are built one at a time along the
-    cycles of t -> +-2t mod p, each once; a cycle holds its first plane, the
-    current one and the next, so the call peaks at about five N/p-entry
-    complex buffers (80 N/p bytes; budget 18 N bytes at 5^10, 10 N at 13^6).
+    cycles of t -> +-2t mod p, each once, in one plan of five N/p-entry
+    complex slots (80 N/p bytes; budget 18 N bytes at 5^10, 10 N at 13^6):
+    a cycle's first plane, the current and the next plane, a spare that
+    doubles as the dilation's and the term's temporary, and the dilation.
     The per-plane terms are added in t order.  Raises ContractError when
     the total is not within ROUNDING_MARGIN of an integer.
     """
     space = A.space
     p, n = space.p, space.n
     half = (p + 1) // 2
+    work = _Planes(space, [A.mask], 5)
+    spare, dbl = work.slots[3], work.slots[4]
     terms = [None] * half
     for start in range(half):
         if terms[start] is not None:
             continue
-        t = start
-        first = plane = _spectrum_plane(space, A.mask, start)
+        t, at = start, 0
+        first = plane = work.plane(0, start, 0, 3)
         while terms[t] is None:
             s = 2 * t % p
             u = s if s < half else p - s
-            nxt = first if u == start else _spectrum_plane(space, A.mask, u)
-            dbl = _dilate(nxt, p, n - 1, 2) if s < half else _dilate(nxt, p, n - 1, -2).conj()
-            terms[t] = float((plane.conj() ** 2 * dbl).sum().real)
-            del dbl  # not held while the next plane builds
-            t, plane = u, nxt
-        del first, plane, nxt  # nor this cycle's planes while the next one starts
+            if u == start:
+                nxt, nxt_at = first, 0
+            else:
+                # the next plane takes whichever of slots 1 and 2 the current one leaves free
+                nxt_at = 2 if at == 1 else 1
+                nxt = work.plane(0, u, nxt_at, 3)
+            _dilate(nxt, p, n - 1, 2 if s < half else -2, out=dbl, tmp=spare)
+            if s >= half:
+                np.conjugate(dbl, out=dbl)
+            np.conjugate(plane, out=spare)
+            np.square(spare, out=spare)
+            spare *= dbl
+            terms[t] = float(spare.sum().real)
+            t, plane, at = u, nxt, nxt_at
     total = 0.0
     for t, term in enumerate(terms):
         total += term if t == 0 else 2 * term

@@ -174,19 +174,22 @@ def _digit_reversal(p: int, m: int) -> np.ndarray:
     return _digit_table(p, np.eye(m, dtype=np.int64), _weights(p, m)[::-1])
 
 
-def _dilate(values, p: int, m: int, c: int) -> np.ndarray:
+def _dilate(values, p: int, m: int, c: int, out=None, tmp=None) -> np.ndarray:
     """values[c*x] over the flat indices x of the (p,)*m digit tensor.
 
     x -> c*x maps every digit k to c*k mod p.  The digits split into a high
     and a low block; each block's permutation is the digit-wise one composed
     over its digits (about sqrt(p^m) entries, cached), so two np.take passes
-    apply it.
+    apply it, the first into tmp and the second into out when they are given
+    (flat buffers of p^m entries of values' dtype).
     """
     c = int(c) % p
     low = m // 2
-    t = np.asarray(values).reshape(p ** (m - low), p**low)
-    t = np.take(t, _digit_perm(p, m - low, c), axis=0)
-    return np.take(t, _digit_perm(p, low, c), axis=1).reshape(-1)
+    shape = (p ** (m - low), p**low)
+    t = np.asarray(values).reshape(shape)
+    # the tables are permutations; mode="raise" would buffer a whole output
+    t = np.take(t, _digit_perm(p, m - low, c), axis=0, out=None if tmp is None else tmp.reshape(shape), mode="clip")
+    return np.take(t, _digit_perm(p, low, c), axis=1, out=None if out is None else out.reshape(shape), mode="clip").reshape(-1)
 
 
 # A pair-kernel run holds about this many pairs, in two int64 arrays.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fpnreg.cayley as cayley
+import fpnreg.fourier as fourier
 from fpnreg.cayley import (
     edge_count,
     edge_count_direct,
@@ -87,12 +88,18 @@ class TestEdgeCounts:
 
     def test_rounding_margin_guard(self, monkeypatch):
         # full sets on F_3^2 take the spectral branch (81 pairs > 4 N n = 72);
-        # scaling every plane of the three spectra by s scales the total 81 by s^3
+        # scaling every plane of the three spectra by s, in the slot the plan
+        # built it in, scales the total 81 by s^3
         full = DenseSubset.full(SP32)
-        exact = cayley._spectrum_plane
+        exact = fourier._Planes.plane
         for total, ok in ((81.2, True), (81.5, False)):
-            s = (total / 81) ** (1 / 3)
-            monkeypatch.setattr(cayley, "_spectrum_plane", lambda space, v, t, s=s: exact(space, v, t) * s)
+
+            def scaled(*args, s=(total / 81) ** (1 / 3)):
+                plane = exact(*args)
+                plane *= s
+                return plane
+
+            monkeypatch.setattr(fourier._Planes, "plane", scaled)
             if ok:
                 assert edge_count(full, full, full) == 81
             else:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -379,17 +380,19 @@ def test_script_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_pair_kernel_bench_record(tmp_path):
-    """scripts/pair_kernel_bench.py --tiny writes one record with a timing
-    per layer and case."""
+def test_pair_kernel_bench_record(tmp_path, monkeypatch):
+    """scripts/pair_kernel_bench.py writes one record with a timing per
+    layer and case; its main runs in-process on the tiny cases."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    # the script sets the thread variables it does not find; restore them after
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("pair_kernel_bench", root / "scripts" / "pair_kernel_bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "FULL", bench.TINY)
     out = tmp_path / "pair_kernel.json"
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "pair_kernel_bench.py"), "--tiny", "--repeats", "2", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    bench.main(["--repeats", "2", "--out", str(out)])
     record = json.loads(out.read_text())
     assert set(record) == {"python", "numpy", "blas", "threads", "repeats", "results"}
     assert set(record["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}

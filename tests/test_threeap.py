@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fpnreg.fourier as fourier
 import fpnreg.threeap as threeap
 import fpnreg.vectorspace as vectorspace
 from fpnreg.errors import ContractError, InputError
@@ -95,12 +96,18 @@ class TestCounting:
         assert count_3aps_fourier(A) == count_3aps_naive(A)
 
     def test_rounding_margin_guard(self, monkeypatch):
-        # scaling every plane of the spectrum by s scales the cubic total 81 by s^3
+        # scaling every plane of the spectrum by s, in the slot the plan built
+        # it in, scales the cubic total 81 by s^3
         full = DenseSubset.full(SP32)
-        exact = threeap._spectrum_plane
+        exact = fourier._Planes.plane
         for total, ok in ((81.2, True), (81.5, False)):
-            s = (total / 81) ** (1 / 3)
-            monkeypatch.setattr(threeap, "_spectrum_plane", lambda space, v, t, s=s: exact(space, v, t) * s)
+
+            def scaled(*args, s=(total / 81) ** (1 / 3)):
+                plane = exact(*args)
+                plane *= s
+                return plane
+
+            monkeypatch.setattr(fourier._Planes, "plane", scaled)
             if ok:
                 assert count_3aps_fourier(full) == 81
             else:
@@ -268,17 +275,16 @@ class TestDensityTest:
 
     def test_only_ap_free_trials_transform(self, monkeypatch):
         # a trial the pair search decides by a hit runs no spectral count;
-        # each AP-free trial runs one as its cross-check, and a count builds
-        # its top-digit-0 plane once
+        # each AP-free trial runs one as its cross-check, and a count plans
+        # its transforms once
         calls = []
-        exact = threeap._spectrum_plane
+        exact = fourier._Planes.__init__
 
-        def plane(space, v, t):
-            if t == 0:
-                calls.append(space)
-            return exact(space, v, t)
+        def plan(self, *args):
+            exact(self, *args)
+            calls.append(self.space)
 
-        monkeypatch.setattr(threeap, "_spectrum_plane", plane)
+        monkeypatch.setattr(fourier._Planes, "__init__", plan)
         density_test(DenseSubset.full(SP32), 1.0, 5, 1)
         assert calls == []
         density_test(CAP4, 1.0, 6, 1)
