@@ -11,47 +11,45 @@ trailing batch axis of B independent inputs.  A pass is one 2-D GEMM,
 src.reshape(p, M).T @ W written into a (M, p) buffer: it transforms the
 leading axis and rotates it to the end.  After dim passes the frequency
 axes are back in order behind the batch axis, so the result is (B, p**dim)
-with no transpose copy, O(|H| dim p) per input.  The passes alternate
-between two buffers the call allocates.  The first pass is single; the
-dim-1 trailing passes follow a schedule cached per p and pass count
+with no transpose copy, O(|H| dim p) per input.  The GEMMs run in
+_trailing_passes, alternating between two buffers the call allocates.
+After the first pass they follow a schedule cached per p and pass count
 (_pass_schedule): at p = 3 with at least 3 of them, two digits per GEMM
 against W (x) W, src.reshape(9, M/3).T @ (W (x) W), and one digit per GEMM
-otherwise.  W, W (x) W and the real first pass's columns of W are cached
-per p.
+otherwise.  W and W (x) W are cached per p.
 
 The loop has two entries.  The complex entry (dft, idft, Spectrum) keeps
-full spectra.  The real entry serves indicator functions, whose spectra
-satisfy fhat(-xi) = conj(fhat(xi)): its first pass is a real GEMM that keeps
-only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it stores the first
-(p+1)/2 * p**(dim-1) flat entries, and every other frequency has its
-negation stored.  full_spectrum, the per-coset scan in regularity and the
-counts built on them read sums and sups from that half.
+full spectra; its first pass is one more GEMM against W.  The real entry
+serves 0/1 masks, the indicator functions that the regularity scan and
+the counts transform, whose spectra satisfy fhat(-xi) = conj(fhat(xi)): it
+keeps only the (p+1)/2 leading-axis frequencies 0..(p-1)/2, so it stores
+the first (p+1)/2 * p**(dim-1) flat entries, and every other frequency has
+its negation stored.  full_spectrum, the per-coset scan in regularity and
+the counts built on them read sums and sups from that half.
 
-Every real input's GEMM first pass is _real_head: one real GEMM per chunk
-of _HEAD_ROWS input rows against the split columns of W, so a 0/1 mask is
-never copied to float64 whole.  The full-group counts and sups
-(count_3aps_fourier, edge_count_fourier, sigma_certificate,
-fourier_sup_report) do not hold the stored half: a plan (_Planes) builds it
-one leading-frequency plane at a time, bit for bit the matching slice of
-full_spectrum.  Row r of a 0/1 mask's first pass depends only on the p
-bits of that row, so the plan packs each row into a uint16 code once per
-call (2 N/p bytes) and reads plane t's head from row t of a table cached
-per p (_head_table, which _real_head builds over all 2**p bit patterns).
-The n-1 trailing passes then follow the schedule.  Every plane of a call is
+A real first pass is a table lookup, not a GEMM.  Row r of the (p, M) view
+of a mask is p bits and its first pass a linear map of them, so
+_head_table(p), cached per p, holds that pass for every one of the 2**p bit
+patterns (the Method of Four Russians).  _row_codes packs each row into a
+uint16 code, 2 M bytes, and _take_rows copies the codes' table rows into
+the head.  The full-group counts and sups (count_3aps_fourier,
+edge_count_fourier, sigma_certificate, fourier_sup_report) do not hold the
+stored half: a plan (_Planes) packs each mask's codes once per call and
+builds the half one leading-frequency plane at a time, plane t's head
+being column t of the same table read through the same _take_rows.  The
+n-1 trailing passes then follow the schedule.  Every plane of a call is
 built in one workspace of N/p-entry complex slots that the call allocates
 once: two for the sups, three for the edge count, five for the 3AP count.
 
-No GEMM of a real input has one row, because numpy rounds a one-row GEMM
-(its vector-matrix path) unlike a matrix GEMM.  The rule lives in
-_real_head alone: a last chunk of one row joins the chunk before it, and a
-lone row is padded with a zero column.  So the real entry is
-batch-invariant: an input's stored half has the same bits alone, as one
-column of any batch and in chunks of any size.  The schedule depends on p
-and the pass count alone, never on the buffer size, and no paired GEMM has
-fewer than 3 rows, so a plane and full_spectrum run the same GEMMs.  At
-n <= 2 (N <= 169) a plane is its slice of full_spectrum, so no plane runs a
-one-row trailing pass.  dft and idft transform one input through the
-complex entry, unpadded.
+So the real entry is batch-invariant: an input's stored half has the same
+bits alone, as one column of any batch and in take chunks of any size.  A
+head entry is a copy of a table entry, and no trailing GEMM of a real input
+has one row, the case numpy rounds unlike a matrix GEMM (its vector-matrix
+path): a single pass has at least (p+1)/2 rows per input and a paired one
+at least 6.  The schedule depends on p and the pass count alone, never on
+the buffer size, so a plane is bit for bit the matching slice of
+full_spectrum.  At n <= 2 (N <= 169) a plane is copied from that slice, so
+no plane runs a one-row trailing pass.
 """
 
 from __future__ import annotations
@@ -94,16 +92,6 @@ def _root_matrix(p: int, inverse: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _head_columns(p: int, inverse: bool) -> np.ndarray:
-    """The real first pass's block: the (p+1)/2 leading columns of W (of its
-    conjugate when inverse), each split into a real and an imaginary float64
-    column, (p, p+1)."""
-    block = np.ascontiguousarray(_root_matrix(p, inverse)[:, : (p + 1) // 2]).view(np.float64)
-    block.flags.writeable = False
-    return block
-
-
-@lru_cache(maxsize=None)
 def _pass_schedule(p: int, passes: int, inverse: bool) -> tuple:
     """The W block of each GEMM of `passes` trailing passes.  At p = 3 with
     at least 3 passes, two digits per GEMM against W (x) W, then one single
@@ -119,31 +107,42 @@ def _pass_schedule(p: int, passes: int, inverse: bool) -> tuple:
     return (ww,) * (passes // 2) + (w,) * (passes % 2)
 
 
-# Input rows converted to float64 per GEMM of a real first pass: at most
-# 4096 * 13 floats (426 kB) at a time, never an N-sized float copy.
-_HEAD_ROWS = 1 << 12
+@lru_cache(maxsize=None)
+def _head_table(p: int) -> np.ndarray:
+    """T[c]: the real first pass of a row whose p bits spell c (bit i from
+    the row's entry i), for every c < 2**p, (2**p, (p+1)/2) complex: 917 kB
+    at p = 13.  One real GEMM of the 2**p bit patterns against the (p+1)/2
+    leading columns of W, each split into a real and an imaginary column."""
+    k = (p + 1) // 2
+    bits = (np.arange(2**p)[:, None] >> np.arange(p) & 1).astype(np.float64)
+    table = np.empty((2**p, k), dtype=complex)
+    np.matmul(bits, np.ascontiguousarray(_root_matrix(p)[:, :k]).view(np.float64), out=table.view(np.float64))
+    table.flags.writeable = False
+    return table
 
 
-def _real_head(x: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """First pass of a real input over the (p, rows) view x of its leading
-    axis: the (rows, k) complex transform against the k split columns of
-    block (from _head_columns).
+def _row_codes(p: int, mask: np.ndarray) -> np.ndarray:
+    """The head table's row of every row of the (p, M) view of a bool mask:
+    2 M bytes of uint16 codes, packed in place."""
+    x = mask.reshape(p, -1)
+    codes = np.zeros(x.shape[1], dtype=np.uint16)
+    for row in x[::-1]:
+        codes <<= 1
+        codes |= row
+    return codes
 
-    One real GEMM per chunk of _HEAD_ROWS rows, written straight into the
-    float view of the output.  No GEMM has one row: a last chunk of one row
-    joins the chunk before it, and a lone row is padded with a zero column.
-    """
-    p, rows = x.shape
-    out = np.empty((rows, block.shape[1] // 2), dtype=complex)
-    dst = out.view(np.float64)
-    if rows == 1:
-        dst[:] = (np.stack([x[:, 0], np.zeros(p)], axis=1).T @ block)[:1]
-        return out
-    # no chunk starts at the last row: a chunk that would leave it alone takes it
-    for lo in range(0, rows - 1, _HEAD_ROWS):
-        hi = lo + _HEAD_ROWS if lo + _HEAD_ROWS < rows - 1 else rows
-        np.matmul(np.asarray(x[:, lo:hi], dtype=np.float64).T, block, out=dst[lo:hi])
-    return out
+
+# Row codes per np.take: a 512 kB intp copy at a time.
+_TAKE_ROWS = 1 << 16
+
+
+def _take_rows(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = table[codes[r]]: a real first pass read from the head table,
+    or from one of its columns.  np.take copies its indices to intp, so it
+    reads _TAKE_ROWS codes at a time; they are in range by construction, and
+    mode="raise" would buffer the whole output."""
+    for lo in range(0, len(codes), _TAKE_ROWS):
+        np.take(table, codes[lo : lo + _TAKE_ROWS], axis=0, out=out[lo : lo + _TAKE_ROWS], mode="clip")
 
 
 def _trailing_passes(buf: np.ndarray, spare: np.ndarray, blocks: tuple) -> np.ndarray:
@@ -162,25 +161,27 @@ def _trailing_passes(buf: np.ndarray, spare: np.ndarray, blocks: tuple) -> np.nd
 def _pass_loop(x: np.ndarray, p: int, dim: int, real: bool, inverse: bool = False) -> np.ndarray:
     """Length-p DFT along the dim leading axes of the (p,)*dim + (B,) tensor x.
 
-    Returns (B, p**dim) complex, or with real=True (real x) the
-    (B, (p+1)/2 * p**(dim-1)) stored half.  inverse conjugates W.  With
-    real=True row b depends on column b of x alone, bit for bit, whatever B.
+    Returns (B, p**dim) complex, or with real=True, for a bool x only, the
+    (B, (p+1)/2 * p**(dim-1)) stored half.  inverse conjugates W; the real
+    entry is forward only.  With real=True row b depends on column b of x
+    alone, bit for bit, whatever B.
     """
     x = np.asarray(x)
+    if real and (x.dtype != bool or inverse):
+        raise InputError(f"the real transform takes a bool 0/1 mask, forward only; got {x.dtype}, inverse={inverse}")
     batch = x.size // p**dim
     if dim == 0:
         return x.astype(complex).reshape(batch, 1)
-    rows = x.size // p
     if real:
-        out = _real_head(x.reshape(p, rows), _head_columns(p, inverse)).reshape(-1)
+        out = np.empty((x.size // p, (p + 1) // 2), dtype=complex)
+        _take_rows(_head_table(p), _row_codes(p, x), out)
+        blocks = _pass_schedule(p, dim - 1, False)
     else:
-        out = np.empty(rows * p, dtype=complex)
-        np.matmul(np.asarray(x, dtype=complex).reshape(p, rows).T, _root_matrix(p, inverse), out=out.reshape(rows, p))
-    # x is not needed past the first pass; an input no caller holds is freed here
+        out = np.array(x, dtype=complex)
+        blocks = (_root_matrix(p, inverse),) + _pass_schedule(p, dim - 1, inverse)
+    # x is not needed past here; an input no caller holds is freed
     del x
-    if dim > 1:
-        out = _trailing_passes(out, np.empty_like(out), _pass_schedule(p, dim - 1, inverse))
-    return out.reshape(batch, -1)
+    return _trailing_passes(out.reshape(-1), np.empty(out.size, dtype=complex), blocks).reshape(batch, -1)
 
 
 def _dual_data(H: SubspaceBasis):
@@ -261,10 +262,13 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.freqs) != len(self.values):
+        # read-only copies: the caller's arrays stay writeable and its own
+        freqs, values = np.asarray(self.freqs).copy(), np.asarray(self.values).copy()
+        if len(freqs) != len(values):
             raise InputError("frequency/value length mismatch")
-        self.freqs.flags.writeable = False
-        self.values.flags.writeable = False
+        for name, arr in (("freqs", freqs), ("values", values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -377,44 +381,17 @@ def identity_suite(f: DenseFunction, g: DenseFunction, H: SubspaceBasis) -> Iden
 # ---------------------------------------------------------------------------
 
 
-def full_spectrum(space: SpaceDescriptor, values) -> np.ndarray:
-    """Half of the full-group transform of real values, flat-aligned:
-    out[xi] = (1/N) sum_x values[x] e(-<x,xi>/p) for the (p+1)/2 * p**(n-1)
+def full_spectrum(space: SpaceDescriptor, mask) -> np.ndarray:
+    """Half of the full-group transform of a bool 0/1 mask, flat-aligned:
+    out[xi] = (1/N) sum_x mask[x] e(-<x,xi>/p) for the (p+1)/2 * p**(n-1)
     frequencies xi < len(out), those whose top digit is at most (p-1)/2;
     every other xi has Ahat(xi) = conj(out[-xi]), and the plane out[:N/p]
-    is closed under negation.  Holds the whole half and the pass loop's
-    second buffer, 16 (p+1) N/p bytes (19.2 N at p = 5); _spectrum_plane
-    returns one plane of it in 32 N/p bytes."""
-    out = _pass_loop(values, space.p, space.n, real=True).reshape(-1)
+    is closed under negation.  Any other dtype raises InputError.  Holds the
+    whole half and the pass loop's second buffer, 16 (p+1) N/p bytes (19.2 N
+    at p = 5); _spectrum_plane returns one plane of it in 32 N/p bytes."""
+    out = _pass_loop(mask, space.p, space.n, real=True).reshape(-1)
     out /= space.N
     return out
-
-
-@lru_cache(maxsize=None)
-def _head_table(p: int) -> np.ndarray:
-    """T[t, c]: column t of the real first pass of a row whose p bits spell
-    c (bit i from the row's entry i), for every c < 2**p; (p+1)/2 x 2**p
-    complex, 917 kB at p = 13.  _real_head builds it from the (p, 2**p) bit
-    patterns, so its entries are the bits _real_head gives any 0/1 row."""
-    bits = np.arange(2**p) >> np.arange(p)[:, None] & 1
-    table = np.ascontiguousarray(_real_head(bits, _head_columns(p, False)).T)
-    table.flags.writeable = False
-    return table
-
-
-# Row codes per np.take of a plane's head: a 512 kB intp copy at a time.
-_TAKE_ROWS = 1 << 16
-
-
-def _row_codes(p: int, mask) -> np.ndarray:
-    """The head table's column of every row of the (p, N/p) view of a 0/1
-    mask: 2 N/p bytes of uint16 codes, packed in place."""
-    x = np.asarray(mask, dtype=bool).reshape(p, -1)
-    codes = np.zeros(x.shape[1], dtype=np.uint16)
-    for row in x[::-1]:
-        codes <<= 1
-        codes |= row
-    return codes
 
 
 class _Planes:
@@ -434,7 +411,7 @@ class _Planes:
         slot `into` with slot `spare` as the pass loop's second buffer; returns
         slot `into`.
 
-        The head is row t of _head_table read at the mask's row codes; the
+        The head is column t of _head_table read at the mask's row codes; the
         n-1 trailing passes follow _pass_schedule, and the head goes to the
         slot their count's parity leaves the plane in.  At n <= 2 the plane
         is copied from its slice of full_spectrum, so no one-row trailing
@@ -447,12 +424,7 @@ class _Planes:
             return out
         blocks = _pass_schedule(p, space.n - 1, False)
         head, other = (out, self.slots[spare]) if len(blocks) % 2 == 0 else (self.slots[spare], out)
-        table, codes = _head_table(p)[t], self.rows[k]
-        # np.take copies its indices to intp, so it reads _TAKE_ROWS codes at a
-        # time; they are in range by construction, and mode="raise" would
-        # buffer the whole output
-        for lo in range(0, size, _TAKE_ROWS):
-            np.take(table, codes[lo : lo + _TAKE_ROWS], out=head[lo : lo + _TAKE_ROWS], mode="clip")
+        _take_rows(_head_table(p)[:, t], self.rows[k], head)
         _trailing_passes(head, other, blocks)
         out /= space.N
         return out

@@ -83,10 +83,9 @@ class TestDft:
             assert np.abs(back.values - f.values).max() < 1e-10
 
     def test_full_spectrum_alignment(self):
-        gen = np.random.default_rng(4)
-        f = random_function(SP33, gen)
-        flat = full_spectrum(SP33, f.values)
-        s = dft(f, SubspaceBasis.full(SP33))
+        A = DenseSubset(SP33, np.random.default_rng(4).random(27) < 0.5)
+        flat = full_spectrum(SP33, A.mask)
+        s = dft(DenseFunction.from_subset(A), SubspaceBasis.full(SP33))
         for xi in range(27):
             neg = int(SP33.neg(xi))
             stored = flat[xi] if xi < len(flat) else flat[neg].conj()
@@ -114,16 +113,19 @@ class TestPassLoop:
     @example(p=7, dim=1, batch=1, real=True, seed=1)
     @example(p=13, dim=1, batch=3, real=False, seed=2)
     def test_matches_fftn(self, p, dim, batch, real, seed):
+        # the real entry takes 0/1 masks and runs forward only
         gen = np.random.default_rng(seed)
-        x = gen.uniform(-1, 1, size=(p,) * dim + (batch,))
-        want = self.reference(x, dim)
+        shape = (p,) * dim + (batch,)
+        x = gen.random(shape) < 0.5 if real else gen.uniform(-1, 1, size=shape)
+        want = self.reference(x * 1.0, dim)
         got = _pass_loop(x, p, dim, real=real)
         stored = (p + 1) // 2 * p ** (dim - 1) if dim else 1
         assert got.shape == (batch, stored if real else p**dim)
         assert np.abs(got - want[:, : got.shape[1]]).max(initial=0) < 1e-9
-        z = x if real else x + 1j * gen.uniform(-1, 1, size=x.shape)
-        back = _pass_loop(z, p, dim, real=real, inverse=True)
-        assert np.abs(back - self.reference(z, dim, inverse=True)[:, : back.shape[1]]).max() < 1e-9
+        if not real:
+            z = x + 1j * gen.uniform(-1, 1, size=x.shape)
+            back = _pass_loop(z, p, dim, real=False, inverse=True)
+            assert np.abs(back - self.reference(z, dim, inverse=True)[:, : back.shape[1]]).max() < 1e-9
 
     def test_bool_input_is_a_real_entry(self):
         gen = np.random.default_rng(7)
@@ -131,20 +133,34 @@ class TestPassLoop:
         got = _pass_loop(mask, 5, 3, real=True)
         assert np.abs(got - self.reference(mask.astype(float), 3)[:, :75]).max() < 1e-9
 
-    # chunks of 2 and 4 rows leave a last chunk of one row in the batches of five
+    def test_real_entry_rejects_other_inputs(self):
+        # casting a float or integer input to bool would transform another
+        # function; the real entry and full_spectrum refuse it, and the
+        # inverse the real entry does not run
+        space = SpaceDescriptor(3, 2)
+        mask = np.random.default_rng(7).random(space.N) < 0.5
+        for other in (mask * 0.5, mask.astype(np.int64), mask.astype(float)):
+            with pytest.raises(InputError):
+                _pass_loop(other, 3, 2, real=True)
+            with pytest.raises(InputError):
+                full_spectrum(space, other)
+        with pytest.raises(InputError):
+            _pass_loop(mask, 3, 2, real=True, inverse=True)
+
+    # takes of 2 and 4 codes leave a last take of one code in the batches of five
     @pytest.mark.parametrize("chunk", [None, 2, 4])
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_real_entry_is_batch_invariant(self, p, chunk, monkeypatch):
         # every 0/1 vector of length p gives the same bits alone (a one-row
         # first pass), as a (p, 1) column, in pairs, in fives and in the batch
-        # of all 2**p, whatever the head's chunk size; the references are
-        # computed with the default chunks
+        # of all 2**p, whatever the head's take size; the references are
+        # computed with the default takes
         vecs = (np.arange(2**p)[:, None] >> np.arange(p) & 1).astype(bool)
         want = _pass_loop(vecs.T, p, 1, real=True)
         cols = np.random.default_rng(p).random((p * p, 40)) < 0.5
         want_cols = _pass_loop(cols, p, 2, real=True)
         if chunk is not None:
-            monkeypatch.setattr(fourier, "_HEAD_ROWS", chunk)
+            monkeypatch.setattr(fourier, "_TAKE_ROWS", chunk)
         for got in (
             _pass_loop(vecs.T, p, 1, real=True),
             np.concatenate([_pass_loop(v, p, 1, real=True) for v in vecs]),
@@ -166,7 +182,7 @@ class TestPassLoop:
         cols = np.random.default_rng(dim).random((3**dim, 10)) < 0.5
         want = _pass_loop(cols, 3, dim, real=True)
         if chunk is not None:
-            monkeypatch.setattr(fourier, "_HEAD_ROWS", chunk)
+            monkeypatch.setattr(fourier, "_TAKE_ROWS", chunk)
         for got in (
             np.concatenate([_pass_loop(v, 3, dim, real=True) for v in cols.T]),
             np.concatenate([_pass_loop(v[:, None], 3, dim, real=True) for v in cols.T]),
@@ -185,14 +201,19 @@ class TestPassLoop:
         paired = fourier._pass_schedule(3, n - 1, False)
         assert [len(w) for w in paired] == [9] * ((n - 1) // 2) + [3] * ((n - 1) % 2)
         for blocks in (paired, (fourier._root_matrix(3),) * (n - 1)):
-            head = fourier._real_head(mask.reshape(3, -1), fourier._head_columns(3, False)).reshape(-1)
+            head = np.empty((space.N // 3, 2), dtype=complex)
+            fourier._take_rows(fourier._head_table(3), fourier._row_codes(3, mask), head)
+            head = head.reshape(-1)
             got = fourier._trailing_passes(head, np.empty_like(head), blocks) / space.N
             assert np.abs(got - want).max() < 1e-12
 
     def test_no_aliasing_across_calls(self):
         gen = np.random.default_rng(8)
         shapes = [(3, 4, 2, True), (5, 2, 3, False), (3, 4, 2, True), (7, 1, 1, True), (5, 2, 3, False)]
-        inputs = {s: gen.uniform(-1, 1, size=s[0] ** s[1] * s[2]) for s in set(shapes)}
+        inputs = {}
+        for s in set(shapes):
+            size = s[0] ** s[1] * s[2]
+            inputs[s] = gen.random(size) < 0.5 if s[3] else gen.uniform(-1, 1, size=size)
         outs = []
         for p, dim, batch, real in shapes:
             x = inputs[p, dim, batch, real]
@@ -220,8 +241,8 @@ class TestSpectrumPlanes:
     """The plane path (one leading-frequency plane of the stored half at a
     time) against full_spectrum, bit for bit."""
 
-    # chunks of 2 and 4 rows leave a last row of its own at odd plane sizes;
-    # the full_spectrum references are computed with the default chunks
+    # takes of 2 and 4 codes leave a last code of its own at odd plane sizes;
+    # the full_spectrum references are computed with the default takes
     @pytest.mark.parametrize("chunk", [None, 2, 4])
     @pytest.mark.parametrize("p", PRIMES)
     def test_planes_are_full_spectrum_slices(self, p, chunk, monkeypatch):
@@ -233,7 +254,7 @@ class TestSpectrumPlanes:
                 mask = gen.random(space.N) < density
                 cases.append((space, density, mask, full_spectrum(space, mask)))
         if chunk is not None:
-            monkeypatch.setattr(fourier, "_HEAD_ROWS", chunk)
+            monkeypatch.setattr(fourier, "_TAKE_ROWS", chunk)
         for space, density, mask, full in cases:
             size = space.N // p
             for t in range((p + 1) // 2):
@@ -262,6 +283,20 @@ class TestSpectrum:
         assert back.base == s.base
         assert np.array_equal(back.freqs, s.freqs)
         assert np.abs(back.values - s.values).max() == 0.0
+
+    def test_keeps_read_only_copies(self):
+        # the caller's arrays stay its own and writeable; lists are taken too
+        freqs, vals = np.arange(9, dtype=np.int64), np.zeros(9, dtype=complex)
+        s = Spectrum(V32, freqs, vals)
+        vals[0] = 1
+        freqs[0] = 5
+        assert s.values[0] == 0 and s.freqs[0] == 0
+        with pytest.raises(ValueError):
+            s.values[0] = 1
+        listed = Spectrum(V32, list(range(9)), [0j] * 9)
+        assert np.array_equal(listed.freqs, s.freqs) and not listed.values.flags.writeable
+        with pytest.raises(InputError):
+            Spectrum(V32, list(range(8)), vals)
 
     def test_misordered_entries_rejected(self):
         # value_at reads an entry by position, so reversed entries would
